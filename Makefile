@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-check bench-quick ci cover fmt vet lint fuzz-smoke examples-smoke sgprof-smoke snapshot-smoke obs-smoke fleet-chaos synth-smoke synth-baseline synth-baseline-check
+.PHONY: all build test bench bench-check bench-quick ci cover fmt vet lint fuzz-smoke examples-smoke sgprof-smoke snapshot-smoke obs-smoke fleet-chaos synth-smoke synth-baseline synth-baseline-check perfbench-test
 
 all: build
 
@@ -206,6 +206,20 @@ synth-baseline:
 synth-baseline-check:
 	$(GO) run ./cmd/sgattack $(SYNTH_BASELINE_FLAGS) -baseline testdata/synth_baseline.json > synth_matrix.json
 
+# perfbench-test runs the benchmark's own tests. perfbench/ is a separate
+# Go module, so the root `go test ./...` never reaches it; among them,
+# TestPerfCellsMatchExperimentsSweep pins the benchmark's perf cells to
+# experiments.RunSchemes, which a simulator hot-path change can break.
+# The environment is the one perfbench/run.py builds with: offline, and
+# every build product under the gitignored .bench_build/.
+BENCH_BUILD := $(CURDIR)/.bench_build
+PERFBENCH_ENV := GOCACHE=$(BENCH_BUILD)/gocache GOPATH=$(BENCH_BUILD)/gopath \
+	GOMODCACHE=$(BENCH_BUILD)/gopath/pkg/mod HOME=$(BENCH_BUILD)/home \
+	XDG_CONFIG_HOME=$(BENCH_BUILD)/home/.config XDG_CACHE_HOME=$(BENCH_BUILD)/home/.cache \
+	GOTOOLCHAIN=local GOPROXY=off GOSUMDB=off GOFLAGS=-mod=mod GOTELEMETRY=off CGO_ENABLED=0
+perfbench-test:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) test ./...
+
 # fleet-chaos repeats the fleet chaos suite (worker kill, kill-mid-run
 # checkpoint resume, stall-past-lease zombie, result corruption, network
 # partition) under the race detector. Faults are scripted, not random,
@@ -246,8 +260,8 @@ cover:
 # (includes the figure-shape regression tests in figures_test.go and one
 # pass over each fleet chaos scenario), the coverage gate, a short fuzz
 # pass over every codec, the example programs, the sgprof profiler
-# smoke, the checkpoint/restore smoke, the observability smoke, and the
-# attack-synthesis determinism smoke. The CI workflow additionally
+# smoke, the checkpoint/restore smoke, the observability smoke, the
+# attack-synthesis determinism smoke, and the benchmark module's tests. The CI workflow additionally
 # repeats the chaos scenarios via `make fleet-chaos`.
 ci: vet fmt
 	$(MAKE) lint
@@ -259,3 +273,4 @@ ci: vet fmt
 	$(MAKE) snapshot-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) synth-smoke
+	$(MAKE) perfbench-test

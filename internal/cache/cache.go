@@ -34,11 +34,17 @@ func New(capacityBytes, ways int) *Cache {
 	c.valid = make([][]bool, sets)
 	c.dirty = make([][]bool, sets)
 	c.lru = make([][]int8, sets)
+	// Each array's sets are windows of one backing allocation.
+	tags := make([]uint64, lines)
+	valid := make([]bool, lines)
+	dirty := make([]bool, lines)
+	lru := make([]int8, lines)
 	for s := 0; s < sets; s++ {
-		c.tags[s] = make([]uint64, ways)
-		c.valid[s] = make([]bool, ways)
-		c.dirty[s] = make([]bool, ways)
-		c.lru[s] = make([]int8, ways)
+		lo, hi := s*ways, (s+1)*ways
+		c.tags[s] = tags[lo:hi:hi]
+		c.valid[s] = valid[lo:hi:hi]
+		c.dirty[s] = dirty[lo:hi:hi]
+		c.lru[s] = lru[lo:hi:hi]
 		// LRU ranks start as a permutation; touch preserves it.
 		for w := 0; w < ways; w++ {
 			c.lru[s][w] = int8(w)
@@ -153,6 +159,8 @@ type StreamPrefetcher struct {
 	Degree int
 	// entries tracks recent regions.
 	entries []streamEntry
+	// buf backs the slice OnAccess returns.
+	buf []uint64
 
 	Issued uint64
 }
@@ -173,7 +181,9 @@ func NewStreamPrefetcher(degree int) *StreamPrefetcher {
 // trainThreshold is how many sequential hits arm a stream.
 const trainThreshold = 2
 
-// OnAccess observes a demand access and returns line addresses to prefetch.
+// OnAccess observes a demand access and returns line addresses to
+// prefetch, nearest first. The slice is the prefetcher's own buffer: it
+// is valid until the next OnAccess call.
 func (p *StreamPrefetcher) OnAccess(lineAddr uint64) []uint64 {
 	region := lineAddr >> 6
 	var e *streamEntry
@@ -211,15 +221,7 @@ func (p *StreamPrefetcher) OnAccess(lineAddr uint64) []uint64 {
 		}
 		p.entries[victim] = ne
 		if ne.score >= trainThreshold {
-			out := make([]uint64, 0, p.Degree)
-			for i := 1; i <= p.Degree; i++ {
-				next := int64(lineAddr) + int64(i*ne.dir)
-				if next >= 0 {
-					out = append(out, uint64(next))
-				}
-			}
-			p.Issued += uint64(len(out))
-			return out
+			return p.suggest(lineAddr, ne.dir)
 		}
 		return nil
 	}
@@ -245,13 +247,20 @@ func (p *StreamPrefetcher) OnAccess(lineAddr uint64) []uint64 {
 	if e.score < trainThreshold {
 		return nil
 	}
-	out := make([]uint64, 0, p.Degree)
+	return p.suggest(lineAddr, e.dir)
+}
+
+// suggest fills the prefetcher's own buffer with the Degree lines ahead
+// of lineAddr in direction dir (nearest first) and returns it.
+func (p *StreamPrefetcher) suggest(lineAddr uint64, dir int) []uint64 {
+	out := p.buf[:0]
 	for i := 1; i <= p.Degree; i++ {
-		next := int64(lineAddr) + int64(i*e.dir)
+		next := int64(lineAddr) + int64(i*dir)
 		if next >= 0 {
 			out = append(out, uint64(next))
 		}
 	}
+	p.buf = out
 	p.Issued += uint64(len(out))
 	return out
 }

@@ -148,6 +148,24 @@ func TestPrefetcherDetectsAscendingStream(t *testing.T) {
 	}
 }
 
+// A trained stream's suggestions come from the prefetcher's own buffer:
+// steady-state training allocates nothing.
+func TestPrefetcherOnAccessZeroAllocs(t *testing.T) {
+	p := NewStreamPrefetcher(4)
+	line := uint64(1000)
+	for ; line < 1010; line++ {
+		p.OnAccess(line)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if len(p.OnAccess(line)) != 4 {
+			t.Fatal("stream lost training")
+		}
+		line++
+	}); n != 0 {
+		t.Fatalf("trained OnAccess allocates %.0f objects/op, want 0", n)
+	}
+}
+
 func TestPrefetcherDetectsDescendingStream(t *testing.T) {
 	t.Parallel()
 	p := NewStreamPrefetcher(2)

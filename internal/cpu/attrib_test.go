@@ -38,7 +38,7 @@ func fill(t *testing.T, c *Core) int64 {
 	now := int64(1)
 	for ; now < 1000; now++ {
 		c.Cycle(now)
-		if len(c.rob) == c.ROBSize {
+		if c.n == c.ROBSize {
 			return now
 		}
 	}
@@ -168,3 +168,108 @@ type refusingMem struct{ core *Core }
 
 func (m *refusingMem) Load(addr uint64, at int64, token uint64) { m.core.Deliver(token, at+1) }
 func (m *refusingMem) Store(addr uint64, at int64) bool         { return false }
+
+// asyncMem completes odd tokens synchronously inside Load (cache-hit
+// style) and even tokens a fixed latency later from a preallocated FIFO,
+// so loads are genuinely in flight between cycles. Every 50th store is
+// refused once (store-buffer backpressure). Nothing here allocates, so a
+// steady-state allocation is the core's own.
+type asyncMem struct {
+	core    *Core
+	latency int64
+	fifo    [512]pendingLoad
+	head, n int
+	stores  int
+	// sync/async count deliveries by path.
+	sync, async int
+}
+
+func (m *asyncMem) Load(addr uint64, at int64, token uint64) {
+	if token%2 == 1 {
+		m.sync++
+		m.core.Deliver(token, at+2)
+		return
+	}
+	m.fifo[(m.head+m.n)%len(m.fifo)] = pendingLoad{token: token, due: at + m.latency}
+	m.n++
+}
+
+func (m *asyncMem) Store(addr uint64, at int64) bool {
+	m.stores++
+	return m.stores%50 != 0
+}
+
+// tick delivers every async load due by now (due times are FIFO ordered:
+// one fixed latency over increasing issue cycles).
+func (m *asyncMem) tick(now int64) {
+	for m.n > 0 && m.fifo[m.head].due <= now {
+		m.async++
+		m.core.Deliver(m.fifo[m.head].token, m.fifo[m.head].due)
+		m.head = (m.head + 1) % len(m.fifo)
+		m.n--
+	}
+}
+
+// probedAsyncMem is asyncMem as a ProbedPort with a shared static probe.
+type probedAsyncMem struct{ *asyncMem }
+
+func (m probedAsyncMem) LoadProbed(addr uint64, at int64, token uint64) attrib.Prober {
+	m.Load(addr, at, token)
+	return dramProbe
+}
+
+// steadyStateAllocs runs a core over a mixed stream (independent and
+// dependent loads, stores, NOPs) until the ROB ring has wrapped, then
+// measures allocations per cycle while loads dispatch, deliver (both
+// synchronously and asynchronously), and retire every cycle.
+func steadyStateAllocs(t *testing.T, attribOn bool) {
+	mem := &asyncMem{latency: 40}
+	var port MemoryPort = mem
+	if attribOn {
+		port = probedAsyncMem{mem}
+	}
+	c := New(&chaseSource{}, port)
+	mem.core = c
+	var st attrib.CPIStack
+	if attribOn {
+		c.AttachAttrib(&st)
+	}
+	now := int64(0)
+	step := func() {
+		now++
+		mem.tick(now)
+		c.Cycle(now)
+	}
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+	retired, syncs, asyncs, stores := c.Retired, mem.sync, mem.async, mem.stores
+	// AllocsPerRun truncates to whole allocations per run, so each run is
+	// a batch of cycles: one allocation per batch still fails.
+	const batch = 1000
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < batch; i++ {
+			step()
+		}
+	}); n != 0 {
+		t.Fatalf("steady-state Cycle allocates %.0f objects per %d cycles (attribution %v), want 0", n, batch, attribOn)
+	}
+	// The measured cycles must have done the work the pin is about: the
+	// ring wrapped (more than a ROB's worth retired) and loads completed
+	// on both delivery paths under store backpressure.
+	if c.Retired-retired < int64(2*c.ROBSize) || mem.sync == syncs || mem.async == asyncs || mem.stores-stores < 100 {
+		t.Fatalf("measured cycles too quiet: retired %d, sync %d, async %d, stores %d",
+			c.Retired-retired, mem.sync-syncs, mem.async-asyncs, mem.stores-stores)
+	}
+	if attribOn && st.Total() == 0 {
+		t.Fatal("attribution attached but no cycles charged")
+	}
+}
+
+// The steady-state cycle path must be allocation-free: dispatch writes
+// into the fixed ROB ring, Deliver routes through the token table, and a
+// refused store is held by value.
+func TestCycleHotPathZeroAllocsSteadyAttribOff(t *testing.T) { steadyStateAllocs(t, false) }
+
+// Attribution attached adds probe bookkeeping but no allocation.
+func TestCycleHotPathZeroAllocsSteadyAttribOn(t *testing.T) { steadyStateAllocs(t, true) }

@@ -55,8 +55,9 @@ type robEntry struct {
 	seq        uint64
 	done       bool
 	completeAt int64
-	// dep is the producer load a pointer-chase waits on (nil otherwise).
-	dep  *robEntry
+	// dep is the ring slot of the producer load a pointer-chase waits on
+	// (noDep otherwise).
+	dep  int32
 	addr uint64
 	load bool
 	// probe reports the stall cause of an in-flight load (nil when
@@ -64,22 +65,45 @@ type robEntry struct {
 	probe attrib.Prober
 }
 
+// noDep marks a robEntry that waits on no producer.
+const noDep = -1
+
 // Core is one out-of-order core.
 type Core struct {
+	// ROBSize and Width are the core's configuration, fixed at New: the
+	// reorder buffer is a ring of ROBSize entries allocated once.
 	ROBSize int
 	Width   int
 
 	src InstrSource
 	mem MemoryPort
 
-	rob   []*robEntry // FIFO: rob[0] is the head
-	await []*robEntry // dependent loads waiting for their producer
-	// lastLoad is the most recently dispatched load (producer for
-	// pointer-chase dependences); it may already be retired.
-	lastLoad *robEntry
+	// rob is the reorder-buffer ring: n live entries starting at slot
+	// head, in program order. Dispatch, retirement, and completion
+	// routing never allocate.
+	rob  []robEntry
+	head int
+	n    int
+	// await holds the ring slots of dependent loads waiting for their
+	// producer, in dispatch order (the order they start in).
+	await []int32
+	// tokSlot routes a load token to its ring slot: tokSlot[token&tokMask].
+	// The table has at least 2*ROBSize entries, which makes it
+	// collision-free for every token still in the ROB (see Deliver).
+	tokSlot []int32
+	tokMask uint64
+	// lastLoad is the ring slot of the most recently dispatched load (the
+	// producer for pointer-chase dependences), or LastLoadNone, or
+	// LastLoadRetired once it left the ROB — then only its completion
+	// facts (lastDone/lastCompleteAt) survive.
+	lastLoad       int32
+	lastDone       bool
+	lastCompleteAt int64
 	// stalledStore holds a store the memory system refused (store-buffer
-	// backpressure); dispatch halts until it is accepted.
-	stalledStore *workload.Instr
+	// backpressure) while hasStalled is set; dispatch halts until it is
+	// accepted.
+	stalledStore workload.Instr
+	hasStalled   bool
 	// seq is the next load token to issue (tokens start at 1 so 0 can
 	// mean "no load issued").
 	seq uint64
@@ -98,7 +122,22 @@ type Core struct {
 
 // New builds a core with the Table II parameters (224-entry ROB, 6-wide).
 func New(src InstrSource, mem MemoryPort) *Core {
-	return &Core{ROBSize: 224, Width: 6, src: src, mem: mem}
+	const robSize = 224
+	tab := 1
+	for tab < 2*robSize {
+		tab <<= 1
+	}
+	return &Core{
+		ROBSize:  robSize,
+		Width:    6,
+		src:      src,
+		mem:      mem,
+		rob:      make([]robEntry, robSize),
+		await:    make([]int32, 0, robSize),
+		tokSlot:  make([]int32, tab),
+		tokMask:  uint64(tab - 1),
+		lastLoad: LastLoadNone,
+	}
 }
 
 // AttachAttrib points the core at a CPI stack: every subsequent Cycle
@@ -110,32 +149,77 @@ func (c *Core) AttachAttrib(st *attrib.CPIStack) {
 	c.pmem, _ = c.mem.(ProbedPort)
 }
 
+// slot returns the ring slot of the i-th oldest ROB entry.
+func (c *Core) slot(i int) int {
+	s := c.head + i
+	if s >= len(c.rob) {
+		s -= len(c.rob)
+	}
+	return s
+}
+
+// index is slot's inverse: the program-order position of a ring slot,
+// which is live when it is below n.
+func (c *Core) index(slot int) int {
+	i := slot - c.head
+	if i < 0 {
+		i += len(c.rob)
+	}
+	return i
+}
+
 // Deliver completes the in-flight load identified by token at cycle done.
 // The memory system calls it exactly once per Load/LoadProbed, possibly
 // synchronously from within the Load call itself. An unknown token is a
 // protocol violation and panics: a load can never complete after its
 // entry retired (retirement requires completion first).
+//
+// Routing is one table lookup. Every token issued after the oldest token
+// still in the ROB went to an entry that shared the ROB with that
+// token's holder: one of the at most ROBSize-1 entries already there
+// when it issued, or one dispatched later (younger, so still present).
+// Tokens in the ROB therefore span fewer than 2*ROBSize consecutive
+// values and never collide in tokSlot.
 func (c *Core) Deliver(token uint64, done int64) {
-	for _, e := range c.rob {
-		if e.seq == token {
-			e.done = true
-			e.completeAt = done
-			return
-		}
+	s := int(c.tokSlot[token&c.tokMask])
+	if e := &c.rob[s]; token != 0 && e.seq == token && c.index(s) < c.n {
+		e.done = true
+		e.completeAt = done
+		return
 	}
 	panic(fmt.Sprintf("cpu: Deliver(%d) matches no in-flight load", token))
 }
 
+// lastLoadPending reports whether the most recent load has not yet
+// completed by now — a dependent load dispatched now must wait for it.
+func (c *Core) lastLoadPending(now int64) bool {
+	switch c.lastLoad {
+	case LastLoadNone:
+		return false
+	case LastLoadRetired:
+		return !(c.lastDone && c.lastCompleteAt <= now)
+	}
+	e := &c.rob[c.lastLoad]
+	return !(e.done && e.completeAt <= now)
+}
+
 // Cycle advances the core by one CPU cycle.
 func (c *Core) Cycle(now int64) {
-	// Retire in order, up to Width per cycle.
+	// Retire in order, up to Width per cycle. A retired slot keeps its
+	// contents until dispatch reuses it, so this cycle's classification
+	// and dependent-load checks may still read a producer retired here.
 	retired := 0
-	for len(c.rob) > 0 && retired < c.Width {
-		h := c.rob[0]
+	for c.n > 0 && retired < c.Width {
+		h := &c.rob[c.head]
 		if !h.done || h.completeAt > now {
 			break
 		}
-		c.rob = c.rob[1:]
+		if int(c.lastLoad) == c.head {
+			c.lastLoad = LastLoadRetired
+			c.lastDone, c.lastCompleteAt = h.done, h.completeAt
+		}
+		c.head = c.slot(1)
+		c.n--
 		c.Retired++
 		retired++
 	}
@@ -149,12 +233,13 @@ func (c *Core) Cycle(now int64) {
 	// Start dependent loads whose producers have completed.
 	if len(c.await) > 0 {
 		kept := c.await[:0]
-		for _, e := range c.await {
-			if e.dep.done && e.dep.completeAt <= now {
-				e.dep = nil
-				c.startLoad(e, now)
+		for _, s := range c.await {
+			e := &c.rob[s]
+			if p := &c.rob[e.dep]; p.done && p.completeAt <= now {
+				e.dep = noDep
+				c.startLoad(int(s), now)
 			} else {
-				kept = append(kept, e)
+				kept = append(kept, s)
 			}
 		}
 		c.await = kept
@@ -162,45 +247,40 @@ func (c *Core) Cycle(now int64) {
 
 	// Dispatch up to Width new instructions, first retrying a store the
 	// memory system previously refused.
-	for d := 0; d < c.Width && len(c.rob) < c.ROBSize; d++ {
+	for d := 0; d < c.Width && c.n < len(c.rob); d++ {
 		var in workload.Instr
-		if c.stalledStore != nil {
-			in = *c.stalledStore
+		if c.hasStalled {
+			in = c.stalledStore
 		} else {
 			in = c.src.Next()
 		}
-		e := &robEntry{}
+		s := c.slot(c.n)
 		switch {
 		case in.IsLoad:
 			c.Loads++
-			e.addr = in.Addr
-			e.load = true
 			// The entry joins the ROB before its load issues: Deliver may
-			// fire synchronously (cache hits) and routes by ROB scan.
-			c.rob = append(c.rob, e)
-			if in.DependsOnLoad && c.lastLoad != nil && !(c.lastLoad.done && c.lastLoad.completeAt <= now) {
-				e.dep = c.lastLoad
-				c.await = append(c.await, e)
+			// fire synchronously (cache hits) and only routes to live
+			// entries.
+			c.rob[s] = robEntry{addr: in.Addr, load: true, dep: noDep}
+			c.n++
+			if in.DependsOnLoad && c.lastLoadPending(now) {
+				c.rob[s].dep = c.lastLoad
+				c.await = append(c.await, int32(s))
 			} else {
-				c.startLoad(e, now)
+				c.startLoad(s, now)
 			}
-			c.lastLoad = e
+			c.lastLoad = int32(s)
 			continue
 		case in.IsStore:
 			if !c.mem.Store(in.Addr, now) {
-				st := in
-				c.stalledStore = &st
+				c.stalledStore, c.hasStalled = in, true
 				return // stall dispatch until the store buffer drains
 			}
-			c.stalledStore = nil
+			c.hasStalled = false
 			c.Stores++
-			e.done = true
-			e.completeAt = now + 1
-		default:
-			e.done = true
-			e.completeAt = now + 1
 		}
-		c.rob = append(c.rob, e)
+		c.rob[s] = robEntry{done: true, completeAt: now + 1, dep: noDep}
+		c.n++
 	}
 }
 
@@ -227,17 +307,17 @@ var (
 // controller's own next event. probe is nil when attribution is off
 // (the skipped cycles then need no replay at all).
 func (c *Core) SkipState() (ok bool, wakeAt int64, probe attrib.Probe) {
-	if len(c.rob) < c.ROBSize {
+	if c.n < len(c.rob) {
 		return false, 0, nil
 	}
 	wakeAt = skipNever
-	h := c.rob[0]
+	h := &c.rob[c.head]
 	if h.done {
 		wakeAt = h.completeAt
 	}
-	for _, e := range c.await {
-		if e.dep.done && e.dep.completeAt < wakeAt {
-			wakeAt = e.dep.completeAt
+	for _, s := range c.await {
+		if p := &c.rob[c.rob[s].dep]; p.done && p.completeAt < wakeAt {
+			wakeAt = p.completeAt
 		}
 	}
 	if c.att == nil {
@@ -255,8 +335,8 @@ func (c *Core) SkipState() (ok bool, wakeAt int64, probe attrib.Probe) {
 		}
 	} else {
 		e := h
-		if h.dep != nil {
-			e = h.dep
+		if h.dep != noDep {
+			e = &c.rob[h.dep]
 		}
 		if e.probe != nil {
 			probe = e.probe.ProbeStall
@@ -274,16 +354,16 @@ func (c *Core) classify(now int64, retired int) attrib.Component {
 	case retired == c.Width:
 		// Full-width retirement: a maximally productive cycle.
 		return attrib.CompBase
-	case len(c.rob) == 0:
+	case c.n == 0:
 		// Nothing left to retire. If a refused store blocks dispatch the
 		// window drained behind store-buffer backpressure; otherwise the
 		// front end simply ran dry (counts as base issue).
-		if c.stalledStore != nil {
+		if c.hasStalled {
 			return attrib.CompROBFull
 		}
 		return attrib.CompBase
 	}
-	h := c.rob[0]
+	h := &c.rob[c.head]
 	if h.done {
 		// Completed but immature head: inside an op's latency tail. A
 		// probed load names its phase (DRAM/decode/MAC/...); plain
@@ -296,8 +376,8 @@ func (c *Core) classify(now int64, retired int) attrib.Component {
 	// Incomplete head. A pointer chase still waiting on its producer
 	// charges the producer's stall cause.
 	e := h
-	if h.dep != nil {
-		e = h.dep
+	if h.dep != noDep {
+		e = &c.rob[h.dep]
 	}
 	if e.probe != nil {
 		return e.probe.ProbeStall(now)
@@ -305,9 +385,11 @@ func (c *Core) classify(now int64, retired int) attrib.Component {
 	return attrib.CompDRAM
 }
 
-func (c *Core) startLoad(e *robEntry, now int64) {
+func (c *Core) startLoad(s int, now int64) {
+	e := &c.rob[s]
 	c.seq++
 	e.seq = c.seq
+	c.tokSlot[c.seq&c.tokMask] = int32(s)
 	if c.att != nil && c.pmem != nil {
 		e.probe = c.pmem.LoadProbed(e.addr, now, e.seq)
 		return

@@ -270,18 +270,25 @@ func (s *chaseSource) Next() workload.Instr {
 	}
 }
 
-func TestSaveRestoreMidFlightIsBitIdentical(t *testing.T) {
-	t.Parallel()
-	const cut, end = 500, 1500
-	mkCore := func() (*Core, *delayMem) {
-		mem := &delayMem{latency: 37, refuse: 3}
-		c := New(&chaseSource{}, mem)
-		mem.core = c
-		return c, mem
-	}
+// newDelayCore builds a core over src behind a delayMem that also
+// refuses its first three stores.
+func newDelayCore(src InstrSource) (*Core, *delayMem) {
+	mem := &delayMem{latency: 37, refuse: 3}
+	c := New(src, mem)
+	mem.core = c
+	return c, mem
+}
 
+// checkRestoreAt checkpoints a core at the end of cycle cut, restores it
+// into a fresh core, and finishes both the restored run and an
+// uninterrupted reference to cycle end: the restored core must re-save
+// the identical CoreState, and the two runs must end in identical
+// counters and identical CoreState. inFlight requires loads in flight
+// at the cut.
+func checkRestoreAt(t *testing.T, newSrc func() InstrSource, cut, end int64, inFlight bool) {
+	t.Helper()
 	// Reference run, uninterrupted.
-	ref, refMem := mkCore()
+	ref, refMem := newDelayCore(newSrc())
 	for now := int64(1); now <= end; now++ {
 		refMem.tick(now)
 		ref.Cycle(now)
@@ -289,7 +296,7 @@ func TestSaveRestoreMidFlightIsBitIdentical(t *testing.T) {
 
 	// Interrupted run: stop at cut, save, restore into a fresh core, and
 	// finish there. The source position and in-flight loads carry over.
-	a, aMem := mkCore()
+	a, aMem := newDelayCore(newSrc())
 	for now := int64(1); now <= cut; now++ {
 		aMem.tick(now)
 		a.Cycle(now)
@@ -298,18 +305,21 @@ func TestSaveRestoreMidFlightIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
-	if len(st.Rob) == 0 || len(aMem.pending) == 0 {
+	if len(st.Rob) == 0 || (inFlight && len(aMem.pending) == 0) {
 		t.Fatalf("checkpoint captured a quiet core (rob %d, in-flight %d) — test needs traffic", len(st.Rob), len(aMem.pending))
 	}
 
-	b, bMem := mkCore()
+	b, bMem := newDelayCore(newSrc())
 	b.src = a.src // trace position is owner state, carried alongside
 	bMem.pending = append(bMem.pending, aMem.pending...)
 	bMem.refuse = aMem.refuse // memory-side state carries over too
 	if err := b.RestoreState(st, nil); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
-	for now := int64(cut + 1); now <= end; now++ {
+	if again, err := b.SaveState(nil); err != nil || !reflect.DeepEqual(again, st) {
+		t.Fatalf("restored core re-saves a different state (err %v):\nsaved    %+v\nrestored %+v", err, st, again)
+	}
+	for now := cut + 1; now <= end; now++ {
 		bMem.tick(now)
 		b.Cycle(now)
 	}
@@ -331,6 +341,74 @@ func TestSaveRestoreMidFlightIsBitIdentical(t *testing.T) {
 	}
 }
 
+func TestSaveRestoreMidFlightIsBitIdentical(t *testing.T) {
+	t.Parallel()
+	checkRestoreAt(t, func() InstrSource { return &chaseSource{} }, 500, 1500, true)
+}
+
+// phasedSource alternates chaseSource's mix with a NOP run longer than
+// the ROB, so the most recent load retires while the ROB stays busy.
+type phasedSource struct {
+	chase chaseSource
+	n     int
+}
+
+func (s *phasedSource) Next() workload.Instr {
+	s.n++
+	if s.n%600 < 300 {
+		return s.chase.Next()
+	}
+	return workload.Instr{}
+}
+
+// TestSaveRestoreRingCheckpoints checkpoints at the first cycle where each
+// ring-layout case holds — cases a program-order snapshot must hide —
+// and requires an identical continuation from each.
+func TestSaveRestoreRingCheckpoints(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name string
+		// inFlight: the case implies loads in flight at the cut (a
+		// retired last load implies none are).
+		inFlight bool
+		at       func(c *Core) bool
+	}{
+		// The live window runs off the end of the ring and continues at
+		// slot 0.
+		{"wrapped", true, func(c *Core) bool { return c.head != 0 && c.head+c.n > len(c.rob) }},
+		// The producer for the next dependent load already left the ROB.
+		{"last-load-retired", false, func(c *Core) bool { return c.lastLoad == LastLoadRetired && c.n > 0 }},
+		// A waiting dependent sits at a lower slot than its producer.
+		{"producer-above-dependent", true, func(c *Core) bool {
+			for _, s := range c.await {
+				if c.rob[s].dep > s {
+					return true
+				}
+			}
+			return false
+		}},
+	}
+	newSrc := func() InstrSource { return &phasedSource{} }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, mem := newDelayCore(newSrc())
+			cut := int64(-1)
+			for now := int64(1); now <= 20000; now++ {
+				mem.tick(now)
+				c.Cycle(now)
+				if tc.at(c) {
+					cut = now
+					break
+				}
+			}
+			if cut < 0 {
+				t.Fatal("case never arose in 20000 cycles")
+			}
+			checkRestoreAt(t, newSrc, cut, cut+2000, tc.inFlight)
+		})
+	}
+}
+
 func TestRestoreStateRejectsCorruptState(t *testing.T) {
 	t.Parallel()
 	mem := &fixedMem{latency: 2}
@@ -344,6 +422,8 @@ func TestRestoreStateRejectsCorruptState(t *testing.T) {
 		{LastLoad: -9}, // invalid sentinel
 		{Rob: []EntryState{{Dep: -1, Probe: attrib.ProbeRef{Kind: 99}}}},                              // unknown probe kind
 		{Rob: []EntryState{{Dep: -1, Probe: attrib.ProbeRef{Kind: attrib.ProbeRefConst, Comp: 200}}}}, // bad component
+		{Rob: []EntryState{{Dep: -1, Seq: 7}, {Dep: -1, Seq: 7}}},                                     // duplicate token
+		{Rob: []EntryState{{Dep: -1, Seq: 1}, {Dep: -1, Seq: 1 + 512}}},                               // tokens collide in the routing table
 	}
 	for i, st := range bad {
 		if err := c.RestoreState(st, nil); err == nil {

@@ -7,10 +7,12 @@ import (
 	"safeguard/internal/workload"
 )
 
-// EntryState is the serialized form of one reorder-buffer entry. Dep is
-// the rob index of the producer load an awaiting pointer-chase waits on
-// (-1 for none); after a complete Cycle every producer an entry still
-// waits on is itself in the ROB, so an index always suffices.
+// EntryState is the serialized form of one reorder-buffer entry, in
+// program order (Rob[0] is the ROB head wherever it sits in the core's
+// ring). Dep is the rob index of the producer load an awaiting
+// pointer-chase waits on (-1 for none); after a complete Cycle every
+// producer an entry still waits on is itself in the ROB, so an index
+// always suffices.
 type EntryState struct {
 	Seq        uint64          `json:"seq,omitempty"`
 	Done       bool            `json:"done,omitempty"`
@@ -59,12 +61,9 @@ func (c *Core) SaveState(encExt func(attrib.Prober) (int, error)) (CoreState, er
 		Loads:   c.Loads,
 		Stores:  c.Stores,
 	}
-	idx := make(map[*robEntry]int, len(c.rob))
-	for i, e := range c.rob {
-		idx[e] = i
-	}
-	st.Rob = make([]EntryState, len(c.rob))
-	for i, e := range c.rob {
+	st.Rob = make([]EntryState, c.n)
+	for i := range st.Rob {
+		e := &c.rob[c.slot(i)]
 		es := EntryState{
 			Seq:        e.seq,
 			Done:       e.done,
@@ -73,9 +72,9 @@ func (c *Core) SaveState(encExt func(attrib.Prober) (int, error)) (CoreState, er
 			Addr:       e.addr,
 			Load:       e.load,
 		}
-		if e.dep != nil {
-			di, ok := idx[e.dep]
-			if !ok {
+		if e.dep != noDep {
+			di := c.index(int(e.dep))
+			if di >= i {
 				return CoreState{}, fmt.Errorf("cpu: rob[%d] depends on an entry outside the ROB", i)
 			}
 			es.Dep = di
@@ -89,29 +88,27 @@ func (c *Core) SaveState(encExt func(attrib.Prober) (int, error)) (CoreState, er
 	}
 	if len(c.await) > 0 {
 		st.Await = make([]int, len(c.await))
-		for i, e := range c.await {
-			ai, ok := idx[e]
-			if !ok {
+		for i, s := range c.await {
+			ai := c.index(int(s))
+			if ai >= c.n {
 				return CoreState{}, fmt.Errorf("cpu: await[%d] not in the ROB", i)
 			}
 			st.Await[i] = ai
 		}
 	}
-	switch {
-	case c.lastLoad == nil:
+	switch c.lastLoad {
+	case LastLoadNone:
 		st.LastLoad = LastLoadNone
+	case LastLoadRetired:
+		// Retired producer: dependence checks only read done/completeAt.
+		st.LastLoad = LastLoadRetired
+		st.LastLoadDone = c.lastDone
+		st.LastLoadCompleteAt = c.lastCompleteAt
 	default:
-		if li, ok := idx[c.lastLoad]; ok {
-			st.LastLoad = li
-		} else {
-			// Retired producer: dependence checks only read done/completeAt.
-			st.LastLoad = LastLoadRetired
-			st.LastLoadDone = c.lastLoad.done
-			st.LastLoadCompleteAt = c.lastLoad.completeAt
-		}
+		st.LastLoad = c.index(int(c.lastLoad))
 	}
-	if c.stalledStore != nil {
-		in := *c.stalledStore
+	if c.hasStalled {
+		in := c.stalledStore
 		st.StalledStore = &in
 	}
 	return st, nil
@@ -120,27 +117,35 @@ func (c *Core) SaveState(encExt func(attrib.Prober) (int, error)) (CoreState, er
 // RestoreState rebuilds the core from a CoreState. decExt resolves an
 // interned external-prober ID back to the live prober; it may be nil when
 // the state holds no external probes. The core keeps its configured
-// source, memory port, and attribution attachment.
+// source, memory port, and attribution attachment. The restored ROB
+// starts at ring slot 0; slot placement is invisible to the simulation.
 func (c *Core) RestoreState(st CoreState, decExt func(int) (attrib.Prober, error)) error {
-	if len(st.Rob) > c.ROBSize {
-		return fmt.Errorf("cpu: state has %d ROB entries, core holds %d", len(st.Rob), c.ROBSize)
+	if len(st.Rob) > len(c.rob) {
+		return fmt.Errorf("cpu: state has %d ROB entries, core holds %d", len(st.Rob), len(c.rob))
 	}
-	rob := make([]*robEntry, len(st.Rob))
-	for i := range st.Rob {
-		rob[i] = &robEntry{}
-	}
+	rob := make([]robEntry, len(c.rob))
+	tok := make([]int32, len(c.tokSlot))
 	for i, es := range st.Rob {
-		e := rob[i]
+		e := &rob[i]
 		e.seq = es.Seq
 		e.done = es.Done
 		e.completeAt = es.CompleteAt
 		e.addr = es.Addr
 		e.load = es.Load
+		e.dep = noDep
 		if es.Dep != -1 {
 			if es.Dep < 0 || es.Dep >= i {
 				return fmt.Errorf("cpu: rob[%d] has dep %d (must name an older entry)", i, es.Dep)
 			}
-			e.dep = rob[es.Dep]
+			e.dep = int32(es.Dep)
+		}
+		if es.Seq != 0 {
+			k := es.Seq & c.tokMask
+			if j := tok[k]; int(j) < i && rob[j].seq != 0 && rob[j].seq&c.tokMask == k {
+				return fmt.Errorf("cpu: rob[%d] token %d collides with rob[%d] (tokens in the ROB span < %d values)",
+					i, es.Seq, j, len(tok))
+			}
+			tok[k] = int32(i)
 		}
 		p, err := decodeProbe(es.Probe, decExt)
 		if err != nil {
@@ -148,41 +153,43 @@ func (c *Core) RestoreState(st CoreState, decExt func(int) (attrib.Prober, error
 		}
 		e.probe = p
 	}
-	await := make([]*robEntry, 0, len(st.Await))
+	await := make([]int32, 0, len(c.rob))
 	for i, ai := range st.Await {
-		if ai < 0 || ai >= len(rob) {
+		if ai < 0 || ai >= len(st.Rob) {
 			return fmt.Errorf("cpu: await[%d] index %d out of range", i, ai)
 		}
-		if rob[ai].dep == nil {
+		if rob[ai].dep == noDep {
 			return fmt.Errorf("cpu: await[%d] names rob[%d], which waits on nothing", i, ai)
 		}
-		await = append(await, rob[ai])
+		await = append(await, int32(ai))
 	}
-	var last *robEntry
+	var lastDone bool
+	var lastCompleteAt int64
 	switch {
 	case st.LastLoad >= 0:
-		if st.LastLoad >= len(rob) {
+		if st.LastLoad >= len(st.Rob) {
 			return fmt.Errorf("cpu: last_load index %d out of range", st.LastLoad)
 		}
-		last = rob[st.LastLoad]
 	case st.LastLoad == LastLoadNone:
 	case st.LastLoad == LastLoadRetired:
-		last = &robEntry{done: st.LastLoadDone, completeAt: st.LastLoadCompleteAt}
+		lastDone, lastCompleteAt = st.LastLoadDone, st.LastLoadCompleteAt
 	default:
 		return fmt.Errorf("cpu: invalid last_load %d", st.LastLoad)
 	}
-	c.rob = rob
+	copy(c.rob, rob)
+	copy(c.tokSlot, tok)
+	c.head, c.n = 0, len(st.Rob)
 	c.await = await
-	c.lastLoad = last
+	c.lastLoad = int32(st.LastLoad)
+	c.lastDone, c.lastCompleteAt = lastDone, lastCompleteAt
 	c.seq = uint64(st.NextSeq)
 	c.Retired = st.Retired
 	c.Loads = st.Loads
 	c.Stores = st.Stores
-	if st.StalledStore != nil {
-		in := *st.StalledStore
-		c.stalledStore = &in
-	} else {
-		c.stalledStore = nil
+	c.hasStalled = st.StalledStore != nil
+	c.stalledStore = workload.Instr{}
+	if c.hasStalled {
+		c.stalledStore = *st.StalledStore
 	}
 	return nil
 }

@@ -53,6 +53,50 @@ type bankState struct {
 	rdReadyAt  int64
 	wrReadyAt  int64
 	preReadyAt int64
+	// queuedHits counts the requests in the read ([0]) and write ([1])
+	// queue that target openRow: FR-FCFS defers a precharge while the
+	// active queue's count is nonzero. Maintained on every enqueue,
+	// removal, and open-row change; derived state, so checkpoints
+	// rebuild it instead of carrying it.
+	queuedHits [2]int32
+}
+
+// dir indexes bankState.queuedHits by queue direction.
+func dir(write bool) int {
+	if write {
+		return 1
+	}
+	return 0
+}
+
+// closeRow precharges the bank's open row (if any): no queued request
+// targets a closed row.
+func (b *bankState) closeRow() {
+	b.openRow = -1
+	b.queuedHits = [2]int32{}
+}
+
+// countQueued adjusts queuedHits for request r joining (delta +1) or
+// leaving (delta -1) its queue.
+func (c *Controller) countQueued(r *request, delta int32) {
+	if bank := &c.banks[r.coord.Rank][r.coord.Bank]; bank.openRow == r.coord.Row {
+		bank.queuedHits[dir(r.write)] += delta
+	}
+}
+
+// setOpenRow opens coord's row on its bank and counts the queued
+// requests that target it — the only queue scan left, paid once per
+// activation.
+func (c *Controller) setOpenRow(bank *bankState, coord dram.Coord) {
+	bank.openRow = coord.Row
+	bank.queuedHits = [2]int32{}
+	for q, queue := range [2][]*request{c.readQ, c.writeQ} {
+		for _, r := range queue {
+			if r.coord.Rank == coord.Rank && r.coord.Bank == coord.Bank && r.coord.Row == coord.Row {
+				bank.queuedHits[q]++
+			}
+		}
+	}
 }
 
 type rankState struct {
@@ -117,8 +161,11 @@ type Controller struct {
 
 	readQ  []*request
 	writeQ []*request
-	banks  [][]bankState
-	ranks  []rankState
+	// free recycles request structs: a read returns here once its
+	// completion has fired, a write once its column command issued.
+	free  []*request
+	banks [][]bankState
+	ranks []rankState
 
 	plugins []Plugin
 	gates   []ActGate
@@ -212,7 +259,7 @@ func (c *Controller) SetCompletionSink(s CompletionSink) { c.sink = s }
 // data (including the burst) has arrived. Returns false when the queue is
 // full.
 func (c *Controller) EnqueueRead(lineAddr uint64, callback func(mcDone int64)) bool {
-	return c.enqueueRead(&request{lineAddr: lineAddr, callback: callback})
+	return c.enqueueRead(lineAddr, 0, false, callback)
 }
 
 // EnqueueReadToken queues a line read identified by a caller token; the
@@ -220,15 +267,33 @@ func (c *Controller) EnqueueRead(lineAddr uint64, callback func(mcDone int64)) b
 // callback. Token requests are serializable, so they (unlike callback
 // reads) may be in flight across a checkpoint.
 func (c *Controller) EnqueueReadToken(lineAddr uint64, token uint64) bool {
-	return c.enqueueRead(&request{lineAddr: lineAddr, token: token, hasToken: true})
+	return c.enqueueRead(lineAddr, token, true, nil)
 }
 
-func (c *Controller) enqueueRead(r *request) bool {
+// newRequest takes a zeroed request from the free list, or allocates one.
+func (c *Controller) newRequest() *request {
+	if n := len(c.free); n > 0 {
+		r := c.free[n-1]
+		c.free = c.free[:n-1]
+		return r
+	}
+	return &request{}
+}
+
+// release returns a request no queue or completion references any more.
+func (c *Controller) release(r *request) {
+	*r = request{}
+	c.free = append(c.free, r)
+}
+
+func (c *Controller) enqueueRead(lineAddr, token uint64, hasToken bool, callback func(mcDone int64)) bool {
 	if len(c.readQ) >= ReadQueueSize {
 		c.Stats.ReadQueueFullEvents++
 		c.tel.queueFull.Inc()
 		return false
 	}
+	r := c.newRequest()
+	r.lineAddr, r.token, r.hasToken, r.callback = lineAddr, token, hasToken, callback
 	r.enqueued = c.now
 	// Forward from a queued write to the same line: the controller holds
 	// the freshest data.
@@ -244,6 +309,7 @@ func (c *Controller) enqueueRead(r *request) bool {
 	r.coord = c.mapper.Decode(r.lineAddr)
 	r.remapped = c.applyRemap(&r.coord)
 	c.readQ = append(c.readQ, r)
+	c.countQueued(r, 1)
 	if d := len(c.readQ); d > c.Stats.MaxReadQueueDepth {
 		c.Stats.MaxReadQueueDepth = d
 	}
@@ -262,9 +328,11 @@ func (c *Controller) EnqueueWrite(lineAddr uint64) bool {
 			return true // coalesce repeated writebacks of one line
 		}
 	}
-	r := &request{lineAddr: lineAddr, coord: c.mapper.Decode(lineAddr), enqueued: c.now, write: true}
+	r := c.newRequest()
+	r.lineAddr, r.coord, r.enqueued, r.write = lineAddr, c.mapper.Decode(lineAddr), c.now, true
 	r.remapped = c.applyRemap(&r.coord)
 	c.writeQ = append(c.writeQ, r)
+	c.countQueued(r, 1)
 	c.tel.writeDepth.Observe(int64(len(c.writeQ)))
 	return true
 }
@@ -365,6 +433,7 @@ func (c *Controller) fireCompletions() {
 			case p.req.callback != nil:
 				p.req.callback(p.at)
 			}
+			c.release(p.req)
 		} else {
 			kept = append(kept, p)
 		}
@@ -386,7 +455,7 @@ func (c *Controller) refresh() {
 		rk.refreshUntil = until
 		for b := range c.banks[r] {
 			bank := &c.banks[r][b]
-			bank.openRow = -1
+			bank.closeRow()
 			if bank.actReadyAt < until {
 				bank.actReadyAt = until
 			}
@@ -432,6 +501,9 @@ func (c *Controller) schedule(queue []*request) {
 				c.Stats.RowHits++
 				c.tel.rowHits.Inc()
 			}
+			if r.write {
+				c.release(r) // reads release once their completion fires
+			}
 			return
 		}
 	}
@@ -450,25 +522,16 @@ func (c *Controller) schedule(queue []*request) {
 			}
 			continue
 		}
-		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && !rowHasHitsQueued(queue, r.coord, bank.openRow) {
-			bank.openRow = -1
+		// FR-FCFS keeps a row open while same-direction hits remain queued
+		// anywhere in the active queue (also beyond the FCFS window). Only
+		// the active queue counts: deferring a precharge to hits in the
+		// idle queue could stall the active direction indefinitely.
+		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && bank.queuedHits[dir(r.write)] == 0 {
+			bank.closeRow()
 			bank.actReadyAt = maxI64(bank.actReadyAt, c.now+int64(c.tm.TRP))
 			return
 		}
 	}
-}
-
-// rowHasHitsQueued reports whether the queue being scheduled still targets
-// the bank's open row — FR-FCFS keeps rows open while same-direction hits
-// remain. Only the active queue counts: deferring a precharge to hits in
-// the idle queue could stall the active direction indefinitely.
-func rowHasHitsQueued(queue []*request, coord dram.Coord, openRow int) bool {
-	for _, r := range queue {
-		if r.coord.Rank == coord.Rank && r.coord.Bank == coord.Bank && r.coord.Row == openRow {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Controller) canActivate(bank *bankState, rank *rankState) bool {
@@ -486,7 +549,7 @@ func (c *Controller) canActivate(bank *bankState, rank *rankState) bool {
 }
 
 func (c *Controller) activate(r *request, bank *bankState, rank *rankState) {
-	bank.openRow = r.coord.Row
+	c.setOpenRow(bank, r.coord)
 	bank.rdReadyAt = c.now + int64(c.tm.TRCD)
 	bank.wrReadyAt = c.now + int64(c.tm.TRCD)
 	bank.preReadyAt = c.now + int64(c.tm.TRAS)
@@ -560,6 +623,7 @@ func (c *Controller) issueColumn(r *request, bank *bankState) {
 // reads only ever live in readQ and writes in writeQ, so the request's kind
 // selects the slice (queue aliases one of them).
 func (c *Controller) removeFromQueue(queue []*request, i int) {
+	c.countQueued(queue[i], -1)
 	if queue[i].write {
 		c.writeQ = append(c.writeQ[:i], c.writeQ[i+1:]...)
 	} else {

@@ -249,3 +249,47 @@ func TestNoStarvationUnderMixedLoad(t *testing.T) {
 		t.Fatalf("completed %d/%d, idle=%v", completed, want, c.Idle())
 	}
 }
+
+// The controller's steady state — token reads and writebacks enqueued,
+// scheduled, issued, and completed, through refreshes and drain-mode
+// switches — must not allocate: requests are recycled through the free
+// list and every queue has reached its working capacity after warm-up.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	c := newCtl()
+	sink := &countingSink{}
+	c.SetCompletionSink(sink)
+	var line, token uint64
+	step := func() {
+		// A sequential reader that jumps rows every 64 lines (row hits
+		// and conflicts across banks) plus a writeback every fourth line.
+		if c.CanAcceptRead() {
+			c.EnqueueReadToken(line, token)
+			token++
+		}
+		if line%4 == 0 && c.CanAcceptWrite() {
+			c.EnqueueWrite(line + 1<<22)
+		}
+		if line++; line%64 == 0 {
+			line += 1 << 14
+		}
+		c.Tick()
+	}
+	for i := 0; i < 30000; i++ {
+		step()
+	}
+	done, writes, refreshes := sink.done, c.Stats.Writes, c.Stats.Refreshes
+	// AllocsPerRun truncates to whole allocations per run, so each run is
+	// a batch of ticks: one allocation per batch still fails.
+	const batch = 1000
+	if n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < batch; i++ {
+			step()
+		}
+	}); n != 0 {
+		t.Fatalf("steady-state enqueue/Tick allocates %.0f objects per %d ticks, want 0", n, batch)
+	}
+	if sink.done == done || c.Stats.Writes == writes || c.Stats.Refreshes == refreshes {
+		t.Fatalf("measured ticks too quiet: %d reads completed, %d writes, %d refreshes",
+			sink.done-done, c.Stats.Writes-writes, c.Stats.Refreshes-refreshes)
+	}
+}

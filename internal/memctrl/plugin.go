@@ -219,7 +219,7 @@ func (c *Controller) issueVRR() bool {
 		if bank.openRow != -1 {
 			// The bank must close its open row first.
 			if c.now >= bank.preReadyAt {
-				bank.openRow = -1
+				bank.closeRow()
 				bank.actReadyAt = maxI64(bank.actReadyAt, c.now+int64(c.tm.TRP))
 				return true
 			}

@@ -84,7 +84,7 @@ func (c *Controller) RetireRow(rank, bank, row int) (int, error) {
 	// The physical row closes: whatever was open there is gone after the
 	// copy-out to the spare.
 	if bank < len(c.banks[rank]) && c.banks[rank][bank].openRow == row {
-		c.banks[rank][bank].openRow = -1
+		c.banks[rank][bank].closeRow()
 	}
 	return spare, nil
 }

@@ -238,6 +238,13 @@ func (c *Controller) RestoreState(st *ControllerState) error {
 	if len(st.ReadQ) > ReadQueueSize || len(st.WriteQ) > WriteQueueSize {
 		return fmt.Errorf("memctrl: state queues (%d read, %d write) exceed capacity", len(st.ReadQ), len(st.WriteQ))
 	}
+	for _, q := range [2][]RequestState{st.ReadQ, st.WriteQ} {
+		for _, rs := range q {
+			if k := rs.Coord; k.Rank < 0 || k.Rank >= len(c.banks) || k.Bank < 0 || k.Bank >= len(c.banks[k.Rank]) {
+				return fmt.Errorf("memctrl: queued line %#x names bank %d/%d outside the geometry", rs.Line, k.Rank, k.Bank)
+			}
+		}
+	}
 	if len(st.Plugins) != len(c.plugins) {
 		return fmt.Errorf("memctrl: state has %d plugins, controller has %d attached", len(st.Plugins), len(c.plugins))
 	}
@@ -274,6 +281,12 @@ func (c *Controller) RestoreState(st *ControllerState) error {
 				wrReadyAt: s.WrReadyAt, preReadyAt: s.PreReadyAt,
 			}
 		}
+	}
+	for _, r := range c.readQ {
+		c.countQueued(r, 1)
+	}
+	for _, r := range c.writeQ {
+		c.countQueued(r, 1)
 	}
 	for r := range c.ranks {
 		s := st.Ranks[r]

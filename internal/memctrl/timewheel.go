@@ -93,7 +93,7 @@ func (c *Controller) queueEventAt(queue []*request, next int64) int64 {
 			// Wrong row open: precharge at preReadyAt unless same-queue
 			// row hits keep the row open — then this request only moves
 			// after those hits drain, and their issues are events.
-			if rowHasHitsQueued(queue, r.coord, bank.openRow) {
+			if bank.queuedHits[dir(r.write)] > 0 {
 				continue
 			}
 			t = bank.preReadyAt

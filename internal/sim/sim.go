@@ -300,11 +300,16 @@ type System struct {
 	// macInflight merges concurrent SGX-style MAC-line fetches; each
 	// waiter names the data line whose fill joins when the fetch lands.
 	macInflight map[uint64][]macWaiter
+	// mshrFree and macFree recycle finished MSHR entries (with their
+	// waiter arrays) and MAC waiter lists, so steady-state misses do not
+	// allocate. Nothing is released before its fill or fetch has fired.
+	mshrFree []*mshrEntry
+	macFree  [][]macWaiter
 	// tree models counter/integrity-tree metadata traffic (SGXFullStyle).
 	tree *itree.TrafficModel
 	// pendingReads/pendingWrites retry when controller queues are full.
-	pendingReads  []deferredRead
-	pendingWrites []uint64
+	pendingReads  fifo[deferredRead]
+	pendingWrites fifo[uint64]
 
 	lineMask uint64
 	now      int64
@@ -555,7 +560,7 @@ func (s *System) store(core int, line uint64) bool {
 		s.fillL1(core, line, true)
 		return true
 	}
-	if len(s.mshr) >= storeMissCap || len(s.pendingReads) > 0 {
+	if len(s.mshr) >= storeMissCap || s.pendingReads.len() > 0 {
 		return false
 	}
 	// Write-allocate: fetch the line (RFO); the store itself retires via
@@ -573,7 +578,8 @@ func (s *System) demandMiss(core int, line uint64, dirtyFill bool, seq uint64, d
 		e.dirtyFill = e.dirtyFill || dirtyFill
 		return e
 	}
-	e := &mshrEntry{dirtyFill: dirtyFill}
+	e := s.newMSHR()
+	e.dirtyFill = dirtyFill
 	e.waiters = append(e.waiters, waiter{core: core, seq: seq, deliver: deliver})
 	if s.cfg.Attrib {
 		// The track must exist before schemeRead runs: the scheme adapter
@@ -585,7 +591,18 @@ func (s *System) demandMiss(core int, line uint64, dirtyFill bool, seq uint64, d
 	return e
 }
 
-// finishFill installs a fetched line and wakes its waiters.
+// newMSHR takes a cleared entry from the free list, or allocates one.
+func (s *System) newMSHR() *mshrEntry {
+	if n := len(s.mshrFree); n > 0 {
+		e := s.mshrFree[n-1]
+		s.mshrFree = s.mshrFree[:n-1]
+		return e
+	}
+	return &mshrEntry{}
+}
+
+// finishFill installs a fetched line and wakes its waiters, then recycles
+// the entry. Its track (a probe cores may still hold) is not recycled.
 func (s *System) finishFill(line uint64, cpuDone int64) {
 	e := s.mshr[line]
 	delete(s.mshr, line)
@@ -596,6 +613,8 @@ func (s *System) finishFill(line uint64, cpuDone int64) {
 			s.cores[w.core].Deliver(w.seq, cpuDone)
 		}
 	}
+	*e = mshrEntry{waiters: e.waiters[:0]}
+	s.mshrFree = append(s.mshrFree, e)
 }
 
 // fillL1 installs a line into a core's L1, spilling dirty evictions into
@@ -641,7 +660,7 @@ func (s *System) prefetchOn(trigger uint64) {
 	// controller (or on top of an overflow backlog) only adds queueing
 	// delay — and under metadata-amplified schemes it would grow the
 	// backlog without bound.
-	if s.mc.PendingReads() >= memctrl.ReadQueueSize*3/4 || len(s.pendingReads) > 0 {
+	if s.mc.PendingReads() >= memctrl.ReadQueueSize*3/4 || s.pendingReads.len() > 0 {
 		return
 	}
 	for _, pl := range suggestions {
@@ -652,7 +671,7 @@ func (s *System) prefetchOn(trigger uint64) {
 		if _, ok := s.mshr[pl]; ok {
 			continue
 		}
-		e := &mshrEntry{}
+		e := s.newMSHR()
 		s.mshr[pl] = e
 		s.schemeRead(pl, e)
 	}
@@ -729,6 +748,7 @@ func (s *System) OnReadDone(token uint64, mcDone int64) {
 			}
 			s.joinLeg(w.line, s.mshr[w.line], done)
 		}
+		s.macFree = append(s.macFree, ws[:0])
 	default:
 		panic(fmt.Sprintf("sim: completion token %#x has unknown kind", token))
 	}
@@ -761,7 +781,12 @@ func (s *System) macRead(macLine uint64, w macWaiter) {
 		s.macInflight[macLine] = append(ws, w)
 		return
 	}
-	s.macInflight[macLine] = []macWaiter{w}
+	var ws []macWaiter
+	if n := len(s.macFree); n > 0 {
+		ws = s.macFree[n-1]
+		s.macFree = s.macFree[:n-1]
+	}
+	s.macInflight[macLine] = append(ws, w)
 	s.mcReadTracked(macLine, nil, tokKindMAC<<tokKindShift|macLine)
 }
 
@@ -794,35 +819,65 @@ func (s *System) mcReadTracked(line uint64, tr *reqTrack, token uint64) {
 		if tr != nil {
 			tr.deferred = true
 		}
-		s.pendingReads = append(s.pendingReads, deferredRead{lineAddr: line, token: token, track: tr})
+		s.pendingReads.push(deferredRead{lineAddr: line, token: token, track: tr})
 	}
 }
 
 func (s *System) mcWrite(line uint64) {
 	if !s.mc.EnqueueWrite(line) {
-		s.pendingWrites = append(s.pendingWrites, line)
+		s.pendingWrites.push(line)
 	}
 }
 
 func (s *System) retryDeferred() {
-	for len(s.pendingReads) > 0 && s.mc.CanAcceptRead() {
-		d := s.pendingReads[0]
-		s.pendingReads = s.pendingReads[1:]
+	n := 0
+	for reads := s.pendingReads.items(); n < len(reads) && s.mc.CanAcceptRead(); n++ {
+		d := reads[n]
 		if !s.mc.EnqueueReadToken(d.lineAddr, d.token) {
-			s.pendingReads = append([]deferredRead{d}, s.pendingReads...)
 			break
 		}
 		if d.track != nil {
 			d.track.deferred = false
 		}
 	}
-	for len(s.pendingWrites) > 0 && s.mc.CanAcceptWrite() {
-		w := s.pendingWrites[0]
-		s.pendingWrites = s.pendingWrites[1:]
-		if !s.mc.EnqueueWrite(w) {
-			s.pendingWrites = append([]uint64{w}, s.pendingWrites...)
+	s.pendingReads.pop(n)
+	n = 0
+	for writes := s.pendingWrites.items(); n < len(writes) && s.mc.CanAcceptWrite(); n++ {
+		if !s.mc.EnqueueWrite(writes[n]) {
 			break
 		}
+	}
+	s.pendingWrites.pop(n)
+}
+
+// fifo is a slice-backed FIFO queue that reuses the space its consumed
+// prefix frees, so a steady backlog does not allocate.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// items returns the queued entries, oldest first.
+func (q *fifo[T]) items() []T { return q.buf[q.head:] }
+
+func (q *fifo[T]) push(v T) {
+	// Compact when full and at least half the buffer is consumed prefix:
+	// each copied entry is paid for by an earlier pop, so push stays
+	// amortized O(1).
+	if len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// pop drops the n oldest entries.
+func (q *fifo[T]) pop(n int) {
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
 	}
 }
 
@@ -1050,8 +1105,8 @@ func (s *System) trySkip(ctx context.Context) bool {
 	// retryDeferred acts next iteration: not an idle span. Queue
 	// occupancy only changes at controller events, so this is stable
 	// across the span once checked.
-	if (len(s.pendingReads) > 0 && s.mc.CanAcceptRead()) ||
-		(len(s.pendingWrites) > 0 && s.mc.CanAcceptWrite()) {
+	if (s.pendingReads.len() > 0 && s.mc.CanAcceptRead()) ||
+		(s.pendingWrites.len() > 0 && s.mc.CanAcceptWrite()) {
 		return false
 	}
 	if mcNext := s.mc.NextEventAt(); mcNext < int64(1)<<61 {

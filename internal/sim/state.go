@@ -201,14 +201,14 @@ func (s *System) SaveState() (*State, error) {
 		}
 		st.MacInflight = append(st.MacInflight, mf)
 	}
-	for _, d := range s.pendingReads {
+	for _, d := range s.pendingReads.items() {
 		dr := DeferredReadState{Token: d.token, Track: -1}
 		if d.track != nil {
 			dr.Track = intern(d.track)
 		}
 		st.PendingReads = append(st.PendingReads, dr)
 	}
-	st.PendingWrites = append([]uint64(nil), s.pendingWrites...)
+	st.PendingWrites = append([]uint64(nil), s.pendingWrites.items()...)
 	if s.coreCPI != nil {
 		for _, c := range s.coreCPI {
 			st.CoreCPI = append(st.CoreCPI, *c)
@@ -408,8 +408,8 @@ func (s *System) RestoreState(st *State) error {
 	}
 	s.mshr = mshr
 	s.macInflight = macInflight
-	s.pendingReads = pendingReads
-	s.pendingWrites = append([]uint64(nil), st.PendingWrites...)
+	s.pendingReads = fifo[deferredRead]{buf: pendingReads}
+	s.pendingWrites = fifo[uint64]{buf: append([]uint64(nil), st.PendingWrites...)}
 	s.now = st.Now
 	s.remaining = st.Remaining
 	copy(s.warmCycle, st.WarmCycle)

@@ -164,7 +164,7 @@ func TestMakeCIComposition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ci dry-run failed:\n%s", out)
 	}
-	for _, leg := range []string{"lint", "-race", "-shuffle=on", "cover", "fuzz-smoke", "examples-smoke", "sgprof-smoke", "snapshot-smoke", "obs-smoke", "synth-smoke"} {
+	for _, leg := range []string{"lint", "-race", "-shuffle=on", "cover", "fuzz-smoke", "examples-smoke", "sgprof-smoke", "snapshot-smoke", "obs-smoke", "synth-smoke", "perfbench-test"} {
 		if !strings.Contains(out, leg) {
 			t.Errorf("make ci lost its %q leg:\n%s", leg, out)
 		}
@@ -176,6 +176,25 @@ func TestMakeCIComposition(t *testing.T) {
 	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth"} {
 		if !strings.Contains(string(raw), pkg) {
 			t.Errorf("coverage gate dropped %s", pkg)
+		}
+	}
+}
+
+// perfbench-test must reach the benchmark's separate module and build it
+// the way perfbench/run.py does: offline (no proxy, no checksum DB, no
+// toolchain download) with every build product under .bench_build/.
+func TestMakePerfbenchTestComposition(t *testing.T) {
+	t.Parallel()
+	out, err := runMake(t, "perfbench-test", "GO=echo", "--just-print")
+	if err != nil {
+		t.Fatalf("perfbench-test dry-run failed:\n%s", out)
+	}
+	for _, want := range []string{
+		"cd perfbench", "test ./...", "GOPROXY=off", "GOSUMDB=off", "GOTOOLCHAIN=local",
+		"GOFLAGS=-mod=mod", "CGO_ENABLED=0", ".bench_build/gocache", ".bench_build/gopath/pkg/mod",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("perfbench-test recipe missing %q:\n%s", want, out)
 		}
 	}
 }
