@@ -502,6 +502,16 @@ func (c *Coordinator) completeWith(id string, artifact []byte, snap *telemetry.S
 	if verr == nil && art.Hash != d.hash {
 		verr = fmt.Errorf("fleet: artifact hash %.12s… does not match leased job %.12s…", art.Hash, d.hash)
 	}
+	// Cache the verified artifact before the job resolves, so a client
+	// that sees the job done can fetch its result. Artifacts are
+	// content-addressed, so storing one is correct even if the lease
+	// expires meanwhile; a cache write fault costs a future
+	// recomputation, not this job.
+	if verr == nil && c.cfg.Cache != nil {
+		if perr := c.cfg.Cache.Put(art); perr != nil {
+			c.cachePutErr.Inc()
+		}
+	}
 
 	now = c.cfg.Now()
 	c.mu.Lock()
@@ -547,13 +557,6 @@ func (c *Coordinator) completeWith(id string, artifact []byte, snap *telemetry.S
 	c.mu.Unlock()
 	c.deliverExpired()
 	c.completeOK.Inc()
-	if c.cfg.Cache != nil {
-		if perr := c.cfg.Cache.Put(art); perr != nil {
-			// The result is verified and delivered; a cache write fault
-			// costs a future recomputation, not this job.
-			c.cachePutErr.Inc()
-		}
-	}
 	return nil
 }
 
