@@ -237,12 +237,13 @@ fleet-chaos:
 # reports from, jobs/resultcache are the sgserve correctness core
 # (queueing, dedup, drain, cache identity), fleet is the distributed
 # lease/recovery protocol, snapshot is the sgsnap/1 checkpoint codec
-# every resume path trusts, and payload/synth are the attack-synthesis
-# engine whose matrix artifacts the nightly security gate reads, so
-# regressions there must not land untested.
+# every resume path trusts, payload/synth are the attack-synthesis
+# engine whose matrix artifacts the nightly security gate reads, and
+# rowhammer is the bank model and attack runner behind Figure 1b and the
+# BlockHammer study, so regressions there must not land untested.
 COVER_GATE_PKGS := ./internal/telemetry ./internal/response ./internal/attrib \
 	./internal/jobs ./internal/resultcache ./internal/fleet ./internal/snapshot \
-	./internal/payload ./internal/synth
+	./internal/payload ./internal/synth ./internal/rowhammer
 COVER_GATE_MIN  := 85
 cover:
 	@$(GO) test -cover $(COVER_GATE_PKGS) | awk -v min=$(COVER_GATE_MIN) ' \

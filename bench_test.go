@@ -22,6 +22,7 @@ import (
 	fm "safeguard/internal/faultmodel"
 	"safeguard/internal/faultsim"
 	"safeguard/internal/mac"
+	"safeguard/internal/memctrl"
 	"safeguard/internal/report"
 	"safeguard/internal/rowhammer"
 	"safeguard/internal/sim"
@@ -467,16 +468,16 @@ func BenchmarkAblationMitigations(b *testing.B) {
 		cfg.Seed = 13
 		mk := []struct {
 			name string
-			mit  func() rowhammer.Mitigation
+			mit  func() memctrl.Plugin
 			pat  func() rowhammer.Pattern
 		}{
-			{"none/double-sided", func() rowhammer.Mitigation { return rowhammer.None{} },
+			{"none/double-sided", func() memctrl.Plugin { return nil },
 				func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 4000} }},
-			{"TRR/TRRespass", func() rowhammer.Mitigation { return rowhammer.NewTRR(4) },
+			{"TRR/TRRespass", func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) },
 				func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: 4000, Dummies: 12, DummyBase: 6000} }},
-			{"PARA/half-double", func() rowhammer.Mitigation { return rowhammer.NewPARA(cfg.Threshold, 13) },
+			{"PARA/half-double", func() memctrl.Plugin { return memctrl.NewPARAPlugin(cfg.Threshold, 13) },
 				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000} }},
-			{"Graphene/half-double", func() rowhammer.Mitigation { return rowhammer.NewGraphene(cfg.Threshold) },
+			{"Graphene/half-double", func() memctrl.Plugin { return memctrl.NewGraphenePlugin(cfg.Threshold) },
 				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000, NearEvery: 680} }},
 		}
 		for _, m := range mk {
@@ -642,13 +643,13 @@ func BenchmarkAblationBlockHammer(b *testing.B) {
 		cfg.Rows = 8192
 		cfg.Seed = 17
 		bank := rowhammer.NewBank(cfg)
-		bh := rowhammer.NewBlockHammer(cfg.Threshold)
+		bh := memctrl.NewBlockHammerPlugin(cfg.Threshold)
 		res := rowhammer.RunAttack(bank, bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
 		stopped = res.TotalFlips == 0
-		throttleFrac = bh.ThrottledFraction(rowhammer.ActsPerWindow)
+		throttleFrac = float64(res.Throttled) / float64(res.Windows*memctrl.ActsPerWindow)
 
 		bank2 := rowhammer.NewBank(cfg)
-		under := rowhammer.NewBlockHammer(3 * cfg.Threshold) // sized for an older module
+		under := memctrl.NewBlockHammerPlugin(3 * cfg.Threshold) // sized for an older module
 		res2 := rowhammer.RunAttack(bank2, under, &rowhammer.DoubleSided{Victim: 4000}, 1)
 		broken = res2.TotalFlips > 0
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"safeguard/internal/ecc"
+	"safeguard/internal/memctrl"
 	"safeguard/internal/rowhammer"
 )
 
@@ -32,29 +33,29 @@ func Figure1b(seed uint64) []Figure1bResult {
 	cfg.FlipsPerCrossing = 16
 
 	type study struct {
-		mit       func() rowhammer.Mitigation
+		mit       func() memctrl.Plugin
 		pattern   func() rowhammer.Pattern
 		reference int
 	}
 	const victim = 4000
 	studies := []study{
 		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewTRR(4) },
+			mit:       func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) },
 			pattern:   func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} },
 			reference: victim - 1,
 		},
 		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewPARA(cfg.Threshold, seed) },
+			mit:       func() memctrl.Plugin { return memctrl.NewPARAPlugin(cfg.Threshold, seed) },
 			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim} },
 			reference: victim + 2,
 		},
 		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewGraphene(cfg.Threshold) },
+			mit:       func() memctrl.Plugin { return memctrl.NewGraphenePlugin(cfg.Threshold) },
 			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 680} },
 			reference: victim + 2,
 		},
 		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewTRR(4) },
+			mit:       func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) },
 			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 1130} },
 			reference: victim + 2,
 		},

@@ -1,14 +1,12 @@
-// In-controller Row-Hammer mitigations, re-implemented as controller
-// plugins over the real ACT/REF command stream. Each mirrors the
-// algorithm of its standalone oracle in internal/rowhammer/mitigation.go
-// (the parity tests there assert identical decisions on identical
-// streams); the difference is *where* the refresh happens: plugins
-// enqueue VRR commands back into the controller, which issues them under
-// real bank timing, instead of refreshing a model bank directly.
+// Row-Hammer mitigations (PARA, TRR, Graphene, BlockHammer) as plugins
+// over the ACT/REF command stream: the one implementation of each. A
+// plugin issues victim-row refreshes through the VRRSink it is bound to.
+// Attached to a Controller, the sink is the controller's VRR queue, which
+// issues them under real bank timing; driven by rowhammer.RunAttack, the
+// sink refreshes the bank model at once.
 //
-// State is kept per (rank, bank) because the oracles are per-bank models:
-// one sampler/tracker/filter instance per bank, exactly as a per-bank
-// deployment would provision them.
+// State is kept per (rank, bank): one sampler/tracker/filter instance per
+// bank, exactly as a per-bank deployment would provision them.
 package memctrl
 
 import (
@@ -20,25 +18,32 @@ import (
 	"safeguard/internal/bloom"
 )
 
-// ActsPerWindow and REFsPerWindow mirror the refresh-window constants of
-// internal/rowhammer (which imports this package, so they cannot be
-// shared directly). A cross-package test asserts they stay equal.
+// The refresh-window constants every mitigation is sized against.
 const (
+	// ActsPerWindow is the activation budget of one bank within a 64ms
+	// refresh window (tRC ≈ 47ns ⇒ ~1.36M activates).
 	ActsPerWindow = 1_360_000
+	// REFsPerWindow is the number of REF commands issued per 64ms window
+	// (tREFI = 7.8us).
 	REFsPerWindow = 8192
 )
 
 type bankKey struct{ rank, bank int }
 
-func sortedKeysOfRank(keys map[bankKey]struct{}, rank int) []bankKey {
-	out := make([]bankKey, 0, len(keys))
-	for k := range keys {
-		if k.rank == rank {
-			out = append(out, k)
-		}
+// vrrIssuer is the VRR half of a refreshing mitigation: it implements
+// SinkBinder and counts the victim-row refreshes the sink accepts.
+type vrrIssuer struct {
+	sink VRRSink
+	vrrs float64
+}
+
+// BindSink implements SinkBinder.
+func (v *vrrIssuer) BindSink(s VRRSink) { v.sink = s }
+
+func (v *vrrIssuer) vrr(rank, bank, row int) {
+	if v.sink != nil && v.sink.EnqueueVRR(rank, bank, row) {
+		v.vrrs++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].bank < out[j].bank })
-	return out
 }
 
 // MitigationNames lists the registry's mitigation names.
@@ -80,18 +85,20 @@ func NewMitigationPlugin(name string, threshold int, seed uint64) (Plugin, error
 // ACT, with probability P, enqueue VRRs for the aggressor's immediate
 // neighbours.
 type PARAPlugin struct {
-	// P is the per-activation refresh probability (10/threshold, as the
-	// oracle sizes it).
-	P    float64
-	src  *rand.PCG // kept alongside rng: checkpoints marshal the PCG state
-	rng  *rand.Rand
-	sink VRRSink
+	// P is the per-activation refresh probability.
+	P   float64
+	src *rand.PCG // kept alongside rng: checkpoints marshal the PCG state
+	rng *rand.Rand
+	vrrIssuer
 
-	acts, triggers, vrrs float64
+	acts, triggers float64
 }
 
-// NewPARAPlugin sizes PARA for the threshold with the oracle's PRNG
-// stream, so plugin and oracle draw identical coin flips per ACT.
+// NewPARAPlugin sizes PARA for the threshold: P = 10/threshold makes the
+// chance of a victim surviving `threshold` activations without a refresh
+// (1-P)^threshold ≈ e^-10 ≈ 5e-5. Note the Half-Double irony: the
+// stronger P is, the more middle-row refreshes the mitigation itself
+// issues on behalf of a distance-2 attacker.
 func NewPARAPlugin(threshold int, seed uint64) *PARAPlugin {
 	src := rand.NewPCG(seed, 0xAA)
 	return &PARAPlugin{P: 10.0 / float64(threshold), src: src, rng: rand.New(src)}
@@ -99,9 +106,6 @@ func NewPARAPlugin(threshold int, seed uint64) *PARAPlugin {
 
 // Name implements Plugin.
 func (p *PARAPlugin) Name() string { return "para" }
-
-// BindSink implements SinkBinder.
-func (p *PARAPlugin) BindSink(s VRRSink) { p.sink = s }
 
 // OnCommand implements Plugin.
 func (p *PARAPlugin) OnCommand(cmd Command, rank, bank, row int, cycle int64) {
@@ -113,12 +117,6 @@ func (p *PARAPlugin) OnCommand(cmd Command, rank, bank, row int, cycle int64) {
 		p.triggers++
 		p.vrr(rank, bank, row-1)
 		p.vrr(rank, bank, row+1)
-	}
-}
-
-func (p *PARAPlugin) vrr(rank, bank, row int) {
-	if p.sink != nil && p.sink.EnqueueVRR(rank, bank, row) {
-		p.vrrs++
 	}
 }
 
@@ -139,21 +137,37 @@ type trrBank struct {
 	refIndex      int
 }
 
-// TRRPlugin is the in-DRAM TRR sampler as a controller plugin: per-bank
-// activation counts within the REF interval; on each REF the neighbours
-// of the hottest rows of that rank's banks get VRRs, then the samplers
-// clear. Parameters match the oracle (rowhammer.NewTRR).
+// TRRPlugin models in-DRAM Targeted Row Refresh the way deployed samplers
+// work (and the way TRRespass characterized them): per-bank activation
+// counts within the current REF interval; on each REF the neighbours of
+// the hottest rows of that rank's banks get VRRs, then the samplers
+// clear. The sampler's tiny capacity and per-interval horizon are exactly
+// what TRRespass exploits — a stream of dummy rows out-counts the true
+// aggressors in every interval, so the victims' neighbours are never the
+// ones refreshed.
 type TRRPlugin struct {
-	TableSize           int
-	VictimsPerREF       int
+	// TableSize is the sampler capacity (real devices track only a
+	// handful of rows).
+	TableSize int
+	// VictimsPerREF is how many tracked rows get their neighbours
+	// refreshed per REF command.
+	VictimsPerREF int
+	// RefreshCooldownREFs rate-limits per-row victim refreshes: a row
+	// refreshed within this many REF commands is skipped. Without the
+	// limit the mitigation would re-activate the same victims thousands
+	// of times per window and hammer *their* neighbours itself.
 	RefreshCooldownREFs int
-	EligibleMin         int
+	// EligibleMin is the sampler's per-interval activation-count bar: a
+	// row is considered an aggressor only if it was activated at least
+	// this many times within the REF interval. TRRespass's dummy-row
+	// calibration keeps the true aggressors just under this bar while
+	// the dummies stay above it.
+	EligibleMin int
 
 	banks map[bankKey]*trrBank
-	keys  map[bankKey]struct{}
-	sink  VRRSink
+	vrrIssuer
 
-	acts, vrrs float64
+	acts float64
 }
 
 // NewTRRPlugin builds per-bank TRR samplers with the given capacity.
@@ -164,22 +178,17 @@ func NewTRRPlugin(tableSize int) *TRRPlugin {
 		RefreshCooldownREFs: 8,
 		EligibleMin:         8,
 		banks:               make(map[bankKey]*trrBank),
-		keys:                make(map[bankKey]struct{}),
 	}
 }
 
 // Name implements Plugin.
 func (t *TRRPlugin) Name() string { return "trr" }
 
-// BindSink implements SinkBinder.
-func (t *TRRPlugin) BindSink(s VRRSink) { t.sink = s }
-
 func (t *TRRPlugin) bank(k bankKey) *trrBank {
 	b, ok := t.banks[k]
 	if !ok {
 		b = &trrBank{counts: make(map[int]int), lastRefreshed: make(map[int]int)}
 		t.banks[k] = b
-		t.keys[k] = struct{}{}
 	}
 	return b
 }
@@ -191,14 +200,17 @@ func (t *TRRPlugin) OnCommand(cmd Command, rank, bank, row int, cycle int64) {
 		t.acts++
 		t.sample(t.bank(bankKey{rank, bank}), row)
 	case CmdREF:
-		for _, k := range sortedKeysOfRank(t.keys, rank) {
-			t.onREF(k, t.banks[k])
+		for _, k := range sortedBankKeys(t.banks) {
+			if k.rank == rank {
+				t.onREF(k, t.banks[k])
+			}
 		}
 	}
 }
 
-// sample mirrors the oracle's OnActivate: count rows seen this REF
-// interval; on overflow evict the coldest entry (smallest row on ties).
+// sample counts rows seen this REF interval; on overflow it evicts the
+// coldest entry, ties breaking toward the smaller row so eviction does not
+// depend on map iteration order.
 func (t *TRRPlugin) sample(b *trrBank, row int) {
 	if _, ok := b.counts[row]; ok {
 		b.counts[row]++
@@ -216,8 +228,8 @@ func (t *TRRPlugin) sample(b *trrBank, row int) {
 	b.counts[row] = 1
 }
 
-// onREF mirrors the oracle's OnREF: VRR the neighbours of the
-// hottest-this-interval rows, then start a fresh interval.
+// onREF VRRs the neighbours of the hottest-this-interval rows, then
+// starts a fresh interval.
 func (t *TRRPlugin) onREF(k bankKey, b *trrBank) {
 	if len(b.counts) == 0 {
 		return
@@ -234,19 +246,13 @@ func (t *TRRPlugin) onREF(k bankKey, b *trrBank) {
 		}
 		return hot[i] < hot[j]
 	})
-	n := t.VictimsPerREF
-	if n > len(hot) {
-		n = len(hot)
-	}
 	b.refIndex++
-	for _, r := range hot[:n] {
+	for _, r := range hot[:min(t.VictimsPerREF, len(hot))] {
 		for _, victim := range [2]int{r - 1, r + 1} {
 			if last, ok := b.lastRefreshed[victim]; ok && b.refIndex-last < t.RefreshCooldownREFs {
 				continue
 			}
-			if t.sink != nil && t.sink.EnqueueVRR(k.rank, k.bank, victim) {
-				t.vrrs++
-			}
+			t.vrr(k.rank, k.bank, victim)
 			b.lastRefreshed[victim] = b.refIndex
 		}
 	}
@@ -270,28 +276,29 @@ type grapheneBank struct {
 }
 
 // GraphenePlugin is the Misra–Gries tracker (Park et al., MICRO'20) as a
-// controller plugin: per-bank exact frequent-element counting; a row
-// crossing the trigger gets its neighbours VRR'd. Tables reset every
-// refresh window, counted as REFsPerWindow REF commands per rank.
+// controller plugin: per-bank exact frequent-element counting guarantees
+// any row activated more than the trigger count is caught, defeating
+// capacity-eviction attacks like TRRespass — but a row crossing the
+// trigger gets only its immediate neighbours VRR'd, which Half-Double
+// turns into a weapon. Tables reset every refresh window, counted as
+// REFsPerWindow REF commands per rank.
 type GraphenePlugin struct {
 	Trigger  int
 	Counters int
 
 	banks map[bankKey]*grapheneBank
 	refs  map[int]int // per-rank REF count, for window rotation
-	sink  VRRSink
+	vrrIssuer
 
-	acts, triggers, vrrs float64
+	acts, triggers float64
 }
 
-// NewGraphenePlugin sizes the tracker exactly as the oracle does: trigger
-// at half the design threshold, counters covering the window's activation
-// budget.
+// NewGraphenePlugin sizes the tracker for the design threshold: trigger at
+// half of it, with enough counters (the window's activation budget over
+// the trigger) that decrement-evictions cannot hide a real aggressor
+// within one window.
 func NewGraphenePlugin(designThreshold int) *GraphenePlugin {
-	trigger := designThreshold / 2
-	if trigger < 1 {
-		trigger = 1
-	}
+	trigger := max(designThreshold/2, 1)
 	return &GraphenePlugin{
 		Trigger:  trigger,
 		Counters: ActsPerWindow/trigger + 1,
@@ -302,9 +309,6 @@ func NewGraphenePlugin(designThreshold int) *GraphenePlugin {
 
 // Name implements Plugin.
 func (g *GraphenePlugin) Name() string { return "graphene" }
-
-// BindSink implements SinkBinder.
-func (g *GraphenePlugin) BindSink(s VRRSink) { g.sink = s }
 
 // OnCommand implements Plugin.
 func (g *GraphenePlugin) OnCommand(cmd Command, rank, bank, row int, cycle int64) {
@@ -325,7 +329,7 @@ func (g *GraphenePlugin) OnCommand(cmd Command, rank, bank, row int, cycle int64
 	}
 }
 
-// track mirrors the oracle's OnActivate (Misra–Gries update + trigger).
+// track is the Misra–Gries update plus the threshold trigger.
 func (g *GraphenePlugin) track(k bankKey, row int) {
 	b, ok := g.banks[k]
 	if !ok {
@@ -346,15 +350,9 @@ func (g *GraphenePlugin) track(k bankKey, row int) {
 	}
 	if c, ok := b.counts[row]; ok && c-b.spill >= g.Trigger {
 		g.triggers++
-		g.vrr(k, row-1)
-		g.vrr(k, row+1)
+		g.vrr(k.rank, k.bank, row-1)
+		g.vrr(k.rank, k.bank, row+1)
 		b.counts[row] = b.spill
-	}
-}
-
-func (g *GraphenePlugin) vrr(k bankKey, row int) {
-	if g.sink != nil && g.sink.EnqueueVRR(k.rank, k.bank, row) {
-		g.vrrs++
 	}
 }
 
@@ -369,11 +367,19 @@ func (g *GraphenePlugin) DrainStats() PluginStats {
 // BlockHammer
 // ---------------------------------------------------------------------------
 
-// BlockHammerPlugin is BlockHammer (Yağlıkçı et al., HPCA 2021) as a
-// controller plugin: per-bank counting Bloom filters track activations
-// within the refresh window, and rows over the per-window cap are denied
-// further ACTs via the controller's gate chain — the throttling shows up
-// as real queueing delay instead of a skipped model step.
+// BlockHammerPlugin is BlockHammer (Yağlıkçı et al., HPCA 2021), which
+// Section VIII of the SafeGuard paper discusses, as a controller plugin:
+// per-bank counting Bloom filters track activations within the refresh
+// window, and rows over the per-window cap are denied further ACTs via
+// the ActGate — in the controller the throttling shows up as real
+// queueing delay, in rowhammer.RunAttack as a skipped activation slot.
+// BlockHammer issues no victim refreshes, so Half-Double cannot turn it
+// against its victims.
+//
+// It has the two weaknesses the paper calls out: it must be sized for a
+// particular RH-Threshold (a module with a lower threshold than designed
+// for still flips bits), and blacklisted-but-benign hot rows suffer
+// severe added latency.
 type BlockHammerPlugin struct {
 	// DesignThreshold is the RH-Threshold the filter caps were sized for.
 	DesignThreshold int
@@ -385,16 +391,14 @@ type BlockHammerPlugin struct {
 	acts, throttled float64
 }
 
-// NewBlockHammerPlugin sizes the mitigation for a design threshold with
-// the oracle's filter geometry and cap (threshold/2 - 1).
+// NewBlockHammerPlugin sizes the mitigation for a design threshold. The
+// per-row cap is just under half the threshold: a victim's disturbance
+// sums over both its neighbours (double-sided hammering), so each
+// aggressor must individually stay below T/2 for the sum to stay below T.
 func NewBlockHammerPlugin(designThreshold int) *BlockHammerPlugin {
-	c := designThreshold/2 - 1
-	if c < 1 {
-		c = 1
-	}
 	return &BlockHammerPlugin{
 		DesignThreshold: designThreshold,
-		actCap:          uint32(c),
+		actCap:          uint32(max(designThreshold/2-1, 1)),
 		filters:         make(map[bankKey]*bloom.Counting),
 		refs:            make(map[int]int),
 	}
@@ -413,6 +417,8 @@ func (bh *BlockHammerPlugin) filter(k bankKey) *bloom.Counting {
 }
 
 // AllowAct implements ActGate: deny ACTs to rows at the per-window cap.
+// The Bloom estimate never underestimates, so the cap holds even under
+// collisions.
 func (bh *BlockHammerPlugin) AllowAct(rank, bank, row int, cycle int64) bool {
 	if bh.filter(bankKey{rank, bank}).Estimate(uint64(row)) >= bh.actCap {
 		bh.throttled++

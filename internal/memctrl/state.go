@@ -417,15 +417,12 @@ func (t *TRRPlugin) RestoreState(data []byte) error {
 		return err
 	}
 	t.banks = make(map[bankKey]*trrBank)
-	t.keys = make(map[bankKey]struct{})
 	for _, bs := range st.Banks {
-		k := bankKey{rank: bs.Rank, bank: bs.Bank}
-		t.banks[k] = &trrBank{
+		t.banks[bankKey{rank: bs.Rank, bank: bs.Bank}] = &trrBank{
 			counts:        rowCountMap(bs.Counts),
 			lastRefreshed: rowCountMap(bs.LastRefreshed),
 			refIndex:      bs.RefIndex,
 		}
-		t.keys[k] = struct{}{}
 	}
 	t.acts, t.vrrs = st.Acts, st.VRRs
 	return nil

@@ -1,6 +1,10 @@
 package rowhammer
 
-import "testing"
+import (
+	"testing"
+
+	"safeguard/internal/memctrl"
+)
 
 func TestBlockHammerStopsEveryAttackPattern(t *testing.T) {
 	t.Parallel()
@@ -14,12 +18,12 @@ func TestBlockHammerStopsEveryAttackPattern(t *testing.T) {
 	}
 	for _, p := range patterns {
 		b := NewBank(cfg)
-		bh := NewBlockHammer(cfg.Threshold)
+		bh := memctrl.NewBlockHammerPlugin(cfg.Threshold)
 		res := RunAttack(b, bh, p, 1)
 		if res.TotalFlips != 0 {
 			t.Fatalf("%s: BlockHammer let %d flips through", p.Name(), res.TotalFlips)
 		}
-		if bh.Throttled == 0 {
+		if res.Throttled == 0 {
 			t.Fatalf("%s: attack was never throttled", p.Name())
 		}
 	}
@@ -33,7 +37,7 @@ func TestBlockHammerThresholdDependence(t *testing.T) {
 	// real threshold, so hammering succeeds.
 	cfg := testConfig() // threshold 4800
 	b := NewBank(cfg)
-	bh := NewBlockHammer(10_000) // sized for DDR4-new
+	bh := memctrl.NewBlockHammerPlugin(10_000) // sized for DDR4-new
 	res := RunAttack(b, bh, &DoubleSided{Victim: 1000}, 1)
 	if res.FlipsByRow[1000] == 0 {
 		t.Fatal("under-provisioned BlockHammer should have been broken")
@@ -47,11 +51,11 @@ func TestBlockHammerThrottlesBenignHotRows(t *testing.T) {
 	// latency for benign traffic.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	bh := NewBlockHammer(cfg.Threshold)
+	bh := memctrl.NewBlockHammerPlugin(cfg.Threshold)
 	// A benign workload that re-activates one row 3x the cap.
 	p := &SingleSided{Aggressor: 2222}
-	RunAttack(b, bh, p, 1)
-	frac := bh.ThrottledFraction(ActsPerWindow)
+	res := RunAttack(b, bh, p, 1)
+	frac := float64(res.Throttled) / float64(res.Windows*memctrl.ActsPerWindow)
 	if frac < 0.9 {
 		t.Fatalf("hot-row throttle fraction %.2f; nearly all accesses beyond the cap must stall", frac)
 	}
@@ -63,7 +67,7 @@ func TestBlockHammerNeverRefreshes(t *testing.T) {
 	// immune to the Half-Double refresh-weaponization by construction.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	bh := NewBlockHammer(cfg.Threshold)
+	bh := memctrl.NewBlockHammerPlugin(cfg.Threshold)
 	RunAttack(b, bh, &HalfDouble{Victim: 1500}, 1)
 	if b.MitigationRefreshes != 0 {
 		t.Fatalf("BlockHammer issued %d refreshes", b.MitigationRefreshes)

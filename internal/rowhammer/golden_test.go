@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"safeguard/internal/ecc"
+	"safeguard/internal/memctrl"
 )
 
 // Attack goldens: the outcome of every mitigation over a frozen matrix of
@@ -122,21 +123,13 @@ func goldenScenarios() []goldenScenario {
 	return out
 }
 
-// goldenMitigation builds a mitigation by registry name.
-func goldenMitigation(name string, threshold int, seed uint64) Mitigation {
-	switch name {
-	case "none":
-		return None{}
-	case "para":
-		return NewPARA(threshold, seed)
-	case "trr":
-		return NewTRR(4)
-	case "graphene":
-		return NewGraphene(threshold)
-	case "blockhammer":
-		return NewBlockHammer(threshold)
+// goldenMitigation builds a mitigation plugin by registry name.
+func goldenMitigation(name string, threshold int, seed uint64) memctrl.Plugin {
+	mit, err := memctrl.NewMitigationPlugin(name, threshold, seed)
+	if err != nil {
+		panic(err)
 	}
-	panic("unknown mitigation " + name)
+	return mit
 }
 
 type goldenAttack struct {
@@ -167,10 +160,6 @@ func runGoldenScenario(sc goldenScenario) goldenAttack {
 	b := NewBank(sc.cfg)
 	mit := goldenMitigation(sc.mit, sc.threshold, sc.seed)
 	res := RunAttackAround(b, mit, sc.pattern(), sc.windows, sc.reference)
-	throttled := 0
-	if bh, ok := mit.(*BlockHammer); ok {
-		throttled = bh.Throttled
-	}
 	h := sha256.New()
 	for _, f := range b.Flips() {
 		fmt.Fprintf(h, "%d,%d,%d\n", f.Row, f.Line, f.Bit)
@@ -179,7 +168,7 @@ func runGoldenScenario(sc goldenScenario) goldenAttack {
 		TotalFlips:          res.TotalFlips,
 		Activations:         res.Activations,
 		MitigationRefreshes: res.MitigationRefreshes,
-		Throttled:           throttled,
+		Throttled:           res.Throttled,
 		FlipsByRow:          res.FlipsByRow,
 		FlipsByDistance:     res.FlipsByDistance,
 		FlipListSHA256:      hex.EncodeToString(h.Sum(nil)),
@@ -216,14 +205,6 @@ func mixedStream(seed uint64) func() int {
 	}
 }
 
-func streamBank() *Bank {
-	cfg := DefaultConfig()
-	cfg.Rows = streamRows
-	cfg.Threshold = streamThreshold
-	cfg.Seed = 99
-	return NewBank(cfg)
-}
-
 func hashInts(xs []int) goldenStream {
 	h := sha256.New()
 	for _, x := range xs {
@@ -232,37 +213,46 @@ func hashInts(xs []int) goldenStream {
 	return goldenStream{Decisions: len(xs), SHA256: hex.EncodeToString(h.Sum(nil))}
 }
 
+// recordingSink is a VRR sink that records the victim rows in range of
+// the stream's bank.
+type recordingSink struct{ rows []int }
+
+func (s *recordingSink) EnqueueVRR(rank, bank, row int) bool {
+	if row < 0 || row >= streamRows {
+		return false
+	}
+	s.rows = append(s.rows, row)
+	return true
+}
+
 // runGoldenStream replays the mixed stream through a mitigation with a REF
 // every ActsPerWindow/REFsPerWindow acts and returns its decisions.
 func runGoldenStream(name string) goldenStream {
-	b := streamBank()
 	mit := goldenMitigation(name, streamThreshold, 31)
-	var decisions []int
 	next := mixedStream(7)
-	if bh, ok := mit.(*BlockHammer); ok {
+	if gate, ok := mit.(memctrl.ActGate); ok {
+		var allowed []int
 		for i := 0; i < streamActs; i++ {
 			row := next()
-			if !bh.AllowActivate(row) {
-				decisions = append(decisions, 0)
+			if !gate.AllowAct(0, 0, row, int64(i)) {
+				allowed = append(allowed, 0)
 				continue
 			}
-			decisions = append(decisions, 1)
-			b.Activate(row)
-			bh.OnActivate(b, row)
+			allowed = append(allowed, 1)
+			mit.OnCommand(memctrl.CmdACT, 0, 0, row, int64(i))
 		}
-		return hashInts(decisions)
+		return hashInts(allowed)
 	}
-	b.TraceRefresh = func(row int) { decisions = append(decisions, row) }
-	refEvery := ActsPerWindow / REFsPerWindow
+	sink := &recordingSink{}
+	mit.(memctrl.SinkBinder).BindSink(sink)
+	refEvery := memctrl.ActsPerWindow / memctrl.REFsPerWindow
 	for i := 0; i < streamActs; i++ {
-		row := next()
-		b.Activate(row)
-		mit.OnActivate(b, row)
+		mit.OnCommand(memctrl.CmdACT, 0, 0, next(), int64(i))
 		if i%refEvery == refEvery-1 {
-			mit.OnREF(b)
+			mit.OnCommand(memctrl.CmdREF, 0, -1, -1, int64(i))
 		}
 	}
-	return hashInts(decisions)
+	return hashInts(sink.rows)
 }
 
 func computeAttackGolden() goldenFile {

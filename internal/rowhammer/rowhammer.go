@@ -1,9 +1,13 @@
 // Package rowhammer models DRAM activation-disturbance (Row-Hammer) at the
 // bank level: per-row disturbance accumulation with a configurable
-// RH-Threshold and blast radius, in-DRAM/controller mitigations (PARA, TRR,
-// Graphene-style counters), and the published attack patterns that motivate
-// the SafeGuard paper — single-/double-sided hammering, TRRespass
+// RH-Threshold and blast radius, and the published attack patterns that
+// motivate the SafeGuard paper — single-/double-sided hammering, TRRespass
 // many-sided patterns, and Google's Half-Double (Figure 1b).
+//
+// The mitigations (PARA, TRR, Graphene, BlockHammer) are the memctrl
+// plugins. RunAttack drives one directly over the bank model, its victim
+// refreshes landing on the bank at once; RunMCAttack drives one through
+// the cycle-level controller, its refreshes issued as VRR commands.
 //
 // The model is calibrated to reproduce the qualitative security facts the
 // paper builds on rather than device physics:
@@ -37,14 +41,6 @@ const (
 	// threshold — beyond one refresh window.
 	Weight2 = 1
 )
-
-// ActsPerWindow is the activation budget of one bank within a 64ms refresh
-// window (tRC ≈ 47ns ⇒ ~1.36M activates).
-const ActsPerWindow = 1_360_000
-
-// REFsPerWindow is the number of REF commands the controller issues per
-// 64ms window (tREFI = 7.8us).
-const REFsPerWindow = 8192
 
 // Config parameterizes a bank model.
 type Config struct {
@@ -112,9 +108,6 @@ type Bank struct {
 	Activations int
 	// MitigationRefreshes counts refreshes issued by the mitigation.
 	MitigationRefreshes int
-	// TraceRefresh, when set, observes every in-range mitigation refresh
-	// (parity tests record the oracle's victim decisions through it).
-	TraceRefresh func(row int)
 }
 
 // Validate checks the configuration is usable. Attack runners taking
@@ -174,12 +167,7 @@ func (b *Bank) ReadLine(row, line int) bits.Line {
 // WriteLine stores new content (used by attack setups that place victim
 // data). Writing restores full charge: the row's disturbance is reset.
 func (b *Bank) WriteLine(row, line int, l bits.Line) {
-	rd, ok := b.data[row]
-	if !ok {
-		rd = make(map[int]bits.Line)
-		b.data[row] = rd
-	}
-	rd[line] = l
+	b.storeLine(row, line, l)
 	b.disturbance[row] = 0
 }
 
@@ -206,16 +194,15 @@ func (b *Bank) Activate(row int) {
 
 // RefreshRow models a (mitigation-issued) refresh of `row`: internally a
 // row activation, so it restores the row's charge and disturbs the row's
-// own neighbours — the physical fact Half-Double exploits.
-func (b *Bank) RefreshRow(row int) {
+// own neighbours — the physical fact Half-Double exploits. A row outside
+// the bank is ignored, and RefreshRow reports false.
+func (b *Bank) RefreshRow(row int) bool {
 	if row < 0 || row >= b.cfg.Rows {
-		return
+		return false
 	}
 	b.MitigationRefreshes++
-	if b.TraceRefresh != nil {
-		b.TraceRefresh(row)
-	}
 	b.disturb(row)
+	return true
 }
 
 // disturb applies one activation of `row`: resets the row and accumulates
@@ -273,13 +260,13 @@ func (b *Bank) flipBatch(victim int) {
 		if cur.Bit(bit) == 0 {
 			continue
 		}
-		b.storeFlip(victim, line, cur.FlipBit(bit))
+		b.storeLine(victim, line, cur.FlipBit(bit))
 		b.flips = append(b.flips, Flip{Row: victim, Line: line, Bit: bit})
 		flipped++
 	}
 }
 
-func (b *Bank) storeFlip(row, line int, l bits.Line) {
+func (b *Bank) storeLine(row, line int, l bits.Line) {
 	rd, ok := b.data[row]
 	if !ok {
 		rd = make(map[int]bits.Line)

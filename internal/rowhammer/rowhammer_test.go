@@ -6,6 +6,7 @@ import (
 	"safeguard/internal/bits"
 	"safeguard/internal/ecc"
 	"safeguard/internal/mac"
+	"safeguard/internal/memctrl"
 )
 
 func testConfig() Config {
@@ -159,7 +160,7 @@ func TestDirectDistanceTwoInfeasible(t *testing.T) {
 	// hammering at the LPDDR4-new threshold cannot flip bits.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	res := RunAttack(b, None{}, &distanceTwoOnly{victim: 600}, 1)
+	res := RunAttack(b, nil, &distanceTwoOnly{victim: 600}, 1)
 	if got := res.FlipsByRow[600]; got != 0 {
 		t.Fatalf("pure distance-2 hammering flipped %d bits", got)
 	}
@@ -225,7 +226,7 @@ func TestPARAStopsClassicHammering(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	b := NewBank(cfg)
-	mit := NewPARA(cfg.Threshold, 1)
+	mit := memctrl.NewPARAPlugin(cfg.Threshold, 1)
 	res := RunAttack(b, mit, &DoubleSided{Victim: 1000}, 1)
 	if res.FlipsByRow[1000] != 0 {
 		t.Fatalf("PARA failed against double-sided: %v", res)
@@ -236,7 +237,7 @@ func TestGrapheneStopsClassicHammering(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	b := NewBank(cfg)
-	mit := NewGraphene(cfg.Threshold)
+	mit := memctrl.NewGraphenePlugin(cfg.Threshold)
 	res := RunAttack(b, mit, &DoubleSided{Victim: 1000}, 1)
 	if res.FlipsByRow[1000] != 0 {
 		t.Fatalf("Graphene failed against double-sided: %v", res)
@@ -247,7 +248,7 @@ func TestTRRStopsClassicDoubleSided(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	b := NewBank(cfg)
-	mit := NewTRR(4)
+	mit := memctrl.NewTRRPlugin(4)
 	res := RunAttack(b, mit, &DoubleSided{Victim: 1000}, 1)
 	if res.FlipsByRow[1000] != 0 {
 		t.Fatalf("TRR failed against plain double-sided: %v", res)
@@ -260,7 +261,7 @@ func TestTRRespassBreaksTRR(t *testing.T) {
 	// TRR's small sampler, so the victim's neighbours never get refreshed.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	mit := NewTRR(4)
+	mit := memctrl.NewTRRPlugin(4)
 	p := &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}
 	res := RunAttack(b, mit, p, 1)
 	if res.FlipsByRow[1200] == 0 {
@@ -273,7 +274,7 @@ func TestGrapheneStopsTRRespass(t *testing.T) {
 	// Misra–Gries counting is immune to capacity eviction.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	mit := NewGraphene(cfg.Threshold)
+	mit := memctrl.NewGraphenePlugin(cfg.Threshold)
 	p := &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}
 	res := RunAttack(b, mit, p, 1)
 	if res.FlipsByRow[1200] != 0 {
@@ -293,12 +294,12 @@ func TestHalfDoubleBreaksPreciseMitigations(t *testing.T) {
 	// against TRR the REF-rate refreshes alone overwhelm the victim.
 	cfg := testConfig()
 	cases := []struct {
-		mk        func() Mitigation
+		mk        func() memctrl.Plugin
 		nearEvery int
 	}{
-		{func() Mitigation { return NewPARA(cfg.Threshold, 2) }, 0},
-		{func() Mitigation { return NewGraphene(cfg.Threshold) }, 680},
-		{func() Mitigation { return NewTRR(4) }, 1130},
+		{func() memctrl.Plugin { return memctrl.NewPARAPlugin(cfg.Threshold, 2) }, 0},
+		{func() memctrl.Plugin { return memctrl.NewGraphenePlugin(cfg.Threshold) }, 680},
+		{func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) }, 1130},
 	}
 	for _, tc := range cases {
 		b := NewBank(cfg)
@@ -325,7 +326,7 @@ func TestHalfDoubleNeedsMitigation(t *testing.T) {
 	cfg := testConfig()
 	b := NewBank(cfg)
 	p := &HalfDouble{Victim: 1500, NearEvery: 1024}
-	res := RunAttack(b, None{}, p, 1)
+	res := RunAttack(b, nil, p, 1)
 	if res.FlipsByRow[1500] != 0 {
 		t.Fatalf("half-double without mitigation should not flip the distance-2 victim: %v", res)
 	}
@@ -342,7 +343,7 @@ func TestSafeGuardDetectsBreakthroughFlips(t *testing.T) {
 	// have zero silent lines.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	res := RunAttack(b, NewTRR(4), &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}, 2)
+	res := RunAttack(b, memctrl.NewTRRPlugin(4), &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}, 2)
 	if !res.Broke() {
 		t.Fatal("attack setup failed to produce flips")
 	}
@@ -370,7 +371,7 @@ func TestSECDEDCanBeSilentlyCorrupted(t *testing.T) {
 	cfg.VulnerableCellsPerRow = 256
 	cfg.FlipsPerCrossing = 32
 	b := NewBank(cfg)
-	RunAttack(b, NewTRR(4), &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}, 4)
+	RunAttack(b, memctrl.NewTRRPlugin(4), &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}, 4)
 	out := EvaluateDetection(b, ecc.NewSECDED())
 	t.Logf("SECDED under breakthrough attack: %+v", out)
 	if out.LinesAttacked == 0 {

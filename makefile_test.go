@@ -173,7 +173,7 @@ func TestMakeCIComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth"} {
+	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth", "./internal/rowhammer"} {
 		if !strings.Contains(string(raw), pkg) {
 			t.Errorf("coverage gate dropped %s", pkg)
 		}

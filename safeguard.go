@@ -291,12 +291,6 @@ func DefaultECCploitConfig() ECCploitConfig { return eccploit.DefaultConfig() }
 // against the given scheme.
 func RunECCploit(cfg ECCploitConfig, codec Codec) ECCploitOutcome { return eccploit.Run(cfg, codec) }
 
-// NewBlockHammer returns the Bloom-filter throttling mitigation discussed
-// in Section VIII, sized for a design-time RH-Threshold.
-func NewBlockHammer(designThreshold int) *rowhammer.BlockHammer {
-	return rowhammer.NewBlockHammer(designThreshold)
-}
-
 // ---------------------------------------------------------------------------
 // Row-Hammer modeling (Sections II, VII)
 // ---------------------------------------------------------------------------
@@ -308,8 +302,10 @@ type Bank = rowhammer.Bank
 // RHConfig parameterizes a bank (rows, RH-Threshold, vulnerable cells).
 type RHConfig = rowhammer.Config
 
-// Mitigation is a Row-Hammer defense observing the command stream.
-type Mitigation = rowhammer.Mitigation
+// Mitigation is a Row-Hammer defense observing the command stream: one of
+// the controller's mitigation plugins, which RunAttack also drives
+// directly over a bank model.
+type Mitigation = memctrl.Plugin
 
 // AttackPattern is an adversarial activation stream.
 type AttackPattern = rowhammer.Pattern
@@ -342,12 +338,18 @@ func NewBank(cfg RHConfig) *Bank { return rowhammer.NewBank(cfg) }
 func DefaultRHConfig() RHConfig { return rowhammer.DefaultConfig() }
 
 // Mitigations.
-func NewPARA(threshold int, seed uint64) Mitigation { return rowhammer.NewPARA(threshold, seed) }
-func NewTRR(tableSize int) Mitigation               { return rowhammer.NewTRR(tableSize) }
-func NewGraphene(threshold int) Mitigation          { return rowhammer.NewGraphene(threshold) }
+func NewPARA(threshold int, seed uint64) Mitigation { return memctrl.NewPARAPlugin(threshold, seed) }
+func NewTRR(tableSize int) Mitigation               { return memctrl.NewTRRPlugin(tableSize) }
+func NewGraphene(threshold int) Mitigation          { return memctrl.NewGraphenePlugin(threshold) }
 
-// NoMitigation is the undefended baseline.
-var NoMitigation Mitigation = rowhammer.None{}
+// NewBlockHammer returns the Bloom-filter throttling mitigation discussed
+// in Section VIII, sized for a design-time RH-Threshold.
+func NewBlockHammer(designThreshold int) Mitigation {
+	return memctrl.NewBlockHammerPlugin(designThreshold)
+}
+
+// NoMitigation is the undefended baseline (a nil plugin).
+var NoMitigation Mitigation
 
 // RunAttack drives a pattern against a mitigated bank for whole refresh
 // windows and reports the flips.
