@@ -225,10 +225,9 @@ func (s *recordingSink) EnqueueVRR(rank, bank, row int) bool {
 	return true
 }
 
-// runGoldenStream replays the mixed stream through a mitigation with a REF
+// streamDecisions replays the mixed stream through a mitigation with a REF
 // every ActsPerWindow/REFsPerWindow acts and returns its decisions.
-func runGoldenStream(name string) goldenStream {
-	mit := goldenMitigation(name, streamThreshold, 31)
+func streamDecisions(mit memctrl.Plugin) []int {
 	next := mixedStream(7)
 	if gate, ok := mit.(memctrl.ActGate); ok {
 		var allowed []int
@@ -241,7 +240,7 @@ func runGoldenStream(name string) goldenStream {
 			allowed = append(allowed, 1)
 			mit.OnCommand(memctrl.CmdACT, 0, 0, row, int64(i))
 		}
-		return hashInts(allowed)
+		return allowed
 	}
 	sink := &recordingSink{}
 	mit.(memctrl.SinkBinder).BindSink(sink)
@@ -252,7 +251,11 @@ func runGoldenStream(name string) goldenStream {
 			mit.OnCommand(memctrl.CmdREF, 0, -1, -1, int64(i))
 		}
 	}
-	return hashInts(sink.rows)
+	return sink.rows
+}
+
+func runGoldenStream(name string) goldenStream {
+	return hashInts(streamDecisions(goldenMitigation(name, streamThreshold, 31)))
 }
 
 func computeAttackGolden() goldenFile {
@@ -335,4 +338,79 @@ func TestAttackGolden(t *testing.T) {
 	}
 	t.Fatalf("computed goldens differ from %s (%d attacks and %d streams computed, %d and %d pinned)",
 		path, len(got.Attacks), len(got.Streams), len(want.Attacks), len(want.Streams))
+}
+
+// The plugin parity tests check each plugin's decision sequence over the
+// mixed stream against the one the standalone oracle made over the same
+// stream, recorded in the golden file before the oracles were deleted:
+// the victim rows refreshed, in order, or BlockHammer's allow/deny bits.
+
+// oracleStream reads the oracle's recorded decisions for one mitigation.
+func oracleStream(t *testing.T, name string) goldenStream {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "attack_golden.json"))
+	if err != nil {
+		t.Fatalf("missing golden file: %v", err)
+	}
+	var want goldenFile
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("corrupt golden file: %v", err)
+	}
+	w, ok := want.Streams[name]
+	if !ok {
+		t.Fatalf("golden file has no %s stream", name)
+	}
+	return w
+}
+
+func assertRefreshParity(t *testing.T, name string) {
+	t.Helper()
+	rows := streamDecisions(goldenMitigation(name, streamThreshold, 31))
+	if len(rows) == 0 {
+		t.Fatalf("%s made no refresh decisions; the stream is too weak to test parity", name)
+	}
+	if got, want := hashInts(rows), oracleStream(t, name); got != want {
+		t.Fatalf("%s diverges from the oracle: plugin %+v, oracle %+v", name, got, want)
+	}
+}
+
+func TestPARAPluginParity(t *testing.T) {
+	t.Parallel()
+	assertRefreshParity(t, "para")
+}
+
+func TestTRRPluginParity(t *testing.T) {
+	t.Parallel()
+	assertRefreshParity(t, "trr")
+}
+
+func TestGraphenePluginParity(t *testing.T) {
+	t.Parallel()
+	assertRefreshParity(t, "graphene")
+}
+
+// TestBlockHammerPluginParity compares the allow/deny sequence instead of
+// refresh rows: BlockHammer never refreshes, it throttles.
+func TestBlockHammerPluginParity(t *testing.T) {
+	t.Parallel()
+	plug := memctrl.NewBlockHammerPlugin(streamThreshold)
+	if _, ok := memctrl.Plugin(plug).(memctrl.SinkBinder); ok {
+		t.Fatal("BlockHammer binds a VRR sink; it must never refresh")
+	}
+	allowed := streamDecisions(plug)
+	denied := 0
+	for _, a := range allowed {
+		if a == 0 {
+			denied++
+		}
+	}
+	if denied == 0 {
+		t.Fatal("stream never hit BlockHammer's cap; parity untested")
+	}
+	if got := plug.DrainStats()["throttled"]; int(got) != denied {
+		t.Fatalf("plugin counted %v throttled ACTs, %d denied", got, denied)
+	}
+	if got, want := hashInts(allowed), oracleStream(t, "blockhammer"); got != want {
+		t.Fatalf("blockhammer diverges from the oracle: plugin %+v, oracle %+v", got, want)
+	}
 }
