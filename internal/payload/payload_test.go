@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"safeguard/internal/rowhammer"
 )
 
 func mustParse(t *testing.T, s string) *Program {
@@ -200,47 +198,6 @@ func TestActsSaturates(t *testing.T) {
 	}
 	if got := p.Acts(); got != satCap {
 		t.Fatalf("Acts() = %d, want saturation at %d", got, satCap)
-	}
-}
-
-// Each library builder's claimed period must reproduce the scripted
-// pattern's stream exactly — the precondition of the run-level parity
-// suite.
-func TestLibraryStreamsMatchPatterns(t *testing.T) {
-	t.Parallel()
-	const acts = 1000 // not a multiple of any period in play: exercises remainders
-	cases := []struct {
-		prog    *Program
-		pattern rowhammer.Pattern
-	}{
-		{SingleSided(40, acts), &rowhammer.SingleSided{Aggressor: 40}},
-		{DoubleSided(40, acts), &rowhammer.DoubleSided{Victim: 40}},
-		{ManySided(40, 6, 600, acts), &rowhammer.ManySided{Victim: 40, Dummies: 6, DummyBase: 600}},
-		{HalfDouble(40, 0, acts), &rowhammer.HalfDouble{Victim: 40}},
-		{HalfDouble(40, 3, acts), &rowhammer.HalfDouble{Victim: 40, NearEvery: 3}},
-		{HalfDouble(40, 4, acts), &rowhammer.HalfDouble{Victim: 40, NearEvery: 4}},
-	}
-	for _, c := range cases {
-		if err := c.prog.Validate(); err != nil {
-			t.Fatalf("%s: %v", c.prog.Name, err)
-		}
-		if got := c.prog.Acts(); got != acts {
-			t.Fatalf("%s: Acts() = %d, want %d", c.prog.Name, got, acts)
-		}
-		i := 0
-		c.prog.Walk(func(s Step) bool {
-			if !s.IsAct {
-				t.Fatalf("%s: library program emitted a NOP", c.prog.Name)
-			}
-			if want := c.pattern.Next(); s.Row != want {
-				t.Fatalf("%s: step %d activates row %d, pattern says %d", c.prog.Name, i, s.Row, want)
-			}
-			i++
-			return true
-		})
-		if i != acts {
-			t.Fatalf("%s: walked %d acts, want %d", c.prog.Name, i, acts)
-		}
 	}
 }
 

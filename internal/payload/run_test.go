@@ -2,7 +2,6 @@ package payload
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"safeguard/internal/rowhammer"
@@ -15,80 +14,6 @@ func parityBank() rowhammer.Config {
 	return rowhammer.Config{
 		Rows: 1024, Threshold: 300, LinesPerRow: 8,
 		VulnerableCellsPerRow: 32, FlipsPerCrossing: 4, Seed: 11,
-	}
-}
-
-// TestPayloadScriptedParity is the payload-vs-scripted contract: each
-// legacy attack pattern, encoded as a DSL program, must reproduce the
-// scripted rowhammer.RunMCAttack run exactly — same flips (per row),
-// same activation and refresh counters, same plugin decisions — under
-// both the event and the cycle engine, across every mitigation in the
-// registry.
-func TestPayloadScriptedParity(t *testing.T) {
-	t.Parallel()
-	const acts = 3000
-	cases := []struct {
-		prog    *Program
-		pattern func() rowhammer.Pattern
-	}{
-		{SingleSided(500, acts), func() rowhammer.Pattern { return &rowhammer.SingleSided{Aggressor: 500} }},
-		{DoubleSided(500, acts), func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 500} }},
-		{ManySided(500, 6, 800, acts), func() rowhammer.Pattern {
-			return &rowhammer.ManySided{Victim: 500, Dummies: 6, DummyBase: 800}
-		}},
-		{HalfDouble(500, 8, acts), func() rowhammer.Pattern {
-			return &rowhammer.HalfDouble{Victim: 500, NearEvery: 8}
-		}},
-	}
-	for _, mit := range []string{"none", "para", "trr", "graphene", "blockhammer"} {
-		for _, c := range cases {
-			c, mit := c, mit
-			t.Run(mit+"/"+c.prog.Name, func(t *testing.T) {
-				t.Parallel()
-				scripted, err := rowhammer.RunMCAttack(rowhammer.MCAttackConfig{
-					Bank: parityBank(), Mitigation: mit, Seed: 3,
-					Accesses: acts, MaxCycles: 4_000_000,
-				}, c.pattern())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, engine := range []string{EngineEvent, EngineCycle} {
-					got, err := Run(context.Background(), RunConfig{
-						Bank: parityBank(), Mitigation: mit, Seed: 3,
-						MaxActivations: acts, MaxCycles: 4_000_000, Engine: engine,
-					}, c.prog)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Activations != scripted.Accesses {
-						t.Errorf("%s: activations %d, scripted %d", engine, got.Activations, scripted.Accesses)
-					}
-					if got.Stalled != scripted.Stalled {
-						t.Errorf("%s: stalled %v, scripted %v", engine, got.Stalled, scripted.Stalled)
-					}
-					if got.TotalFlips != scripted.TotalFlips {
-						t.Errorf("%s: flips %d, scripted %d", engine, got.TotalFlips, scripted.TotalFlips)
-					}
-					if !reflect.DeepEqual(got.FlipsByRow, scripted.FlipsByRow) {
-						t.Errorf("%s: per-row flips diverge:\n%v\n%v", engine, got.FlipsByRow, scripted.FlipsByRow)
-					}
-					if got.MitigationRefreshes != scripted.MitigationRefreshes {
-						t.Errorf("%s: refreshes %d, scripted %d", engine, got.MitigationRefreshes, scripted.MitigationRefreshes)
-					}
-					// Plugin decisions, bit for bit: mitigation stats and the
-					// tracer's counters drained at end of run.
-					if !reflect.DeepEqual(got.PluginStats, scripted.PluginStats) {
-						t.Errorf("%s: plugin stats diverge:\n%v\n%v", engine, got.PluginStats, scripted.PluginStats)
-					}
-					if got.MCStats != scripted.MCStats {
-						t.Errorf("%s: controller stats diverge:\n%+v\n%+v", engine, got.MCStats, scripted.MCStats)
-					}
-					if got.Cycles != scripted.Cycles {
-						t.Errorf("%s: cycles %d, scripted %d", engine, got.Cycles, scripted.Cycles)
-					}
-				}
-			})
-		}
 	}
 }
 
