@@ -23,6 +23,7 @@ import (
 	"safeguard/internal/faultsim"
 	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/report"
 	"safeguard/internal/rowhammer"
 	"safeguard/internal/sim"
@@ -466,23 +467,23 @@ func BenchmarkAblationMitigations(b *testing.B) {
 		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = 13
+		const acts = memctrl.ActsPerWindow
 		mk := []struct {
 			name string
-			mit  func() memctrl.Plugin
-			pat  func() rowhammer.Pattern
+			mit  memctrl.Plugin
+			prog *payload.Program
 		}{
-			{"none/double-sided", func() memctrl.Plugin { return nil },
-				func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 4000} }},
-			{"TRR/TRRespass", func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) },
-				func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: 4000, Dummies: 12, DummyBase: 6000} }},
-			{"PARA/half-double", func() memctrl.Plugin { return memctrl.NewPARAPlugin(cfg.Threshold, 13) },
-				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000} }},
-			{"Graphene/half-double", func() memctrl.Plugin { return memctrl.NewGraphenePlugin(cfg.Threshold) },
-				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000, NearEvery: 680} }},
+			{"none/double-sided", nil, payload.DoubleSided(4000, acts)},
+			{"TRR/TRRespass", memctrl.NewTRRPlugin(4), payload.ManySided(4000, 12, 6000, acts)},
+			{"PARA/half-double", memctrl.NewPARAPlugin(cfg.Threshold, 13), payload.HalfDouble(4000, 0, acts)},
+			{"Graphene/half-double", memctrl.NewGraphenePlugin(cfg.Threshold), payload.HalfDouble(4000, 680, acts)},
 		}
 		for _, m := range mk {
 			bank := rowhammer.NewBank(cfg)
-			res := rowhammer.RunAttack(bank, m.mit(), m.pat(), 1)
+			res, err := payload.RunAttack(bank, m.mit, m.prog)
+			if err != nil {
+				b.Fatal(err)
+			}
 			results = append(results, result{m.name, res.TotalFlips})
 		}
 	}
@@ -642,15 +643,20 @@ func BenchmarkAblationBlockHammer(b *testing.B) {
 		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = 17
-		bank := rowhammer.NewBank(cfg)
+		hammer := payload.DoubleSided(4000, memctrl.ActsPerWindow)
 		bh := memctrl.NewBlockHammerPlugin(cfg.Threshold)
-		res := rowhammer.RunAttack(bank, bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
+		res, err := payload.RunAttack(rowhammer.NewBank(cfg), bh, hammer)
+		if err != nil {
+			b.Fatal(err)
+		}
 		stopped = res.TotalFlips == 0
 		throttleFrac = float64(res.Throttled) / float64(res.Windows*memctrl.ActsPerWindow)
 
-		bank2 := rowhammer.NewBank(cfg)
 		under := memctrl.NewBlockHammerPlugin(3 * cfg.Threshold) // sized for an older module
-		res2 := rowhammer.RunAttack(bank2, under, &rowhammer.DoubleSided{Victim: 4000}, 1)
+		res2, err := payload.RunAttack(rowhammer.NewBank(cfg), under, hammer)
+		if err != nil {
+			b.Fatal(err)
+		}
 		broken = res2.TotalFlips > 0
 	}
 	once("ablation-blockhammer", func() {

@@ -42,6 +42,7 @@ import (
 	"safeguard/internal/experiments"
 	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/report"
 	"safeguard/internal/resultcache"
 	"safeguard/internal/rowhammer"
@@ -142,10 +143,17 @@ func main() {
 		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = *seed
-		bank := rowhammer.NewBank(cfg)
-		res := rowhammer.RunAttack(bank, memctrl.NewBlockHammerPlugin(cfg.Threshold), &rowhammer.DoubleSided{Victim: 4000}, 1)
-		bank2 := rowhammer.NewBank(cfg)
-		res2 := rowhammer.RunAttack(bank2, memctrl.NewBlockHammerPlugin(3*cfg.Threshold), &rowhammer.DoubleSided{Victim: 4000}, 1)
+		hammer := payload.DoubleSided(4000, memctrl.ActsPerWindow)
+		res, err := payload.RunAttack(rowhammer.NewBank(cfg), memctrl.NewBlockHammerPlugin(cfg.Threshold), hammer)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		res2, err := payload.RunAttack(rowhammer.NewBank(cfg), memctrl.NewBlockHammerPlugin(3*cfg.Threshold), hammer)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		fmt.Println("BlockHammer (Section VIII):")
 		fmt.Printf("  sized for threshold %d: %d flips, %.1f%% of attack activations throttled\n",
 			cfg.Threshold, res.TotalFlips, float64(res.Throttled)/float64(res.Windows*memctrl.ActsPerWindow)*100)
@@ -161,18 +169,18 @@ func main() {
 		fmt.Println("Controller-driven attacks: double-sided hammering through the")
 		fmt.Println("cycle-level DDR4 controller, mitigations running as plugins")
 		fmt.Printf("(reduced bank: 8192 rows, threshold 1000, %s budget)\n", "60k accesses")
+		hammer := payload.DoubleSided(4000, 60_000)
 		for _, mit := range mits {
-			cfg := rowhammer.MCAttackConfig{
+			cfg := payload.RunConfig{
 				Bank: rowhammer.Config{
 					Rows: 8192, Threshold: 1000, LinesPerRow: 16,
 					VulnerableCellsPerRow: 64, FlipsPerCrossing: 8, Seed: *seed,
 				},
 				Mitigation: mit,
 				Seed:       *seed,
-				Accesses:   60_000,
 				MaxCycles:  40_000_000,
 			}
-			res, err := rowhammer.RunMCAttackContext(ctx, cfg, &rowhammer.DoubleSided{Victim: 4000})
+			res, err := payload.Run(ctx, cfg, hammer)
 			if err != nil && errors.Is(err, context.Canceled) {
 				fmt.Printf("  [interrupted] partial: %s\n", res)
 				break
@@ -185,7 +193,11 @@ func main() {
 			if res.Stalled {
 				note = "  [attacker stalled by throttling]"
 			}
-			fmt.Printf("  %s%s\n", res, note)
+			// Program ACTs are the attacker's accesses; the tracer counts
+			// the ACT commands that reached the bank.
+			fmt.Printf("  %-38s vs %-11s: %6d flips in %9d MC cycles (%d accesses, %d ACTs, %d VRRs)%s\n",
+				res.Program, res.Mitigation, res.TotalFlips, res.Cycles, res.Activations,
+				int(res.PluginStats["activation-tracer"]["acts"]), res.MCStats.VRRs, note)
 		}
 		fmt.Println("  VRRs are real commands here: each victim refresh pays tRAS+tRP in the bank.")
 		fmt.Println()
@@ -209,7 +221,7 @@ func main() {
 			for i, d := range r.Detection {
 				attack, mit, flips, d2 := "", "", "", ""
 				if i == 0 {
-					attack, mit = r.Attack.Pattern, r.Attack.Mitigation
+					attack, mit = r.Attack.Program, r.Attack.Mitigation
 					flips = fmt.Sprint(r.Attack.TotalFlips)
 					d2 = fmt.Sprint(r.DistanceTwoFlips)
 				}
@@ -325,21 +337,20 @@ func parseThresholds(s string) ([]int, error) {
 // through retry -> scrub -> retire -> quarantine, and the run ends with
 // the aggressor's rows gated at the controller.
 func runRespond(ctx context.Context, seed uint64, mitigation string, tf *cliflags.TelemetryFlags) {
-	cfg := rowhammer.ResponseAttackConfig{
+	cfg := payload.ResponseAttackConfig{
 		Bank: rowhammer.Config{
 			Rows: 64, Threshold: 16, LinesPerRow: 2,
 			VulnerableCellsPerRow: 16, FlipsPerCrossing: 4, Seed: seed,
 		},
 		Mitigation: mitigation,
 		Seed:       seed,
-		Accesses:   40_000,
 		VictimRows: []int{8, 10},
 		BenignTail: 16,
 		SpareRows:  4,
 		Telemetry:  tf.Registry,
 		Trace:      tf.Tracer,
 	}
-	res, err := rowhammer.RunResponseAttack(ctx, cfg, &rowhammer.DoubleSided{Victim: 8})
+	res, err := payload.RunResponseAttack(ctx, cfg, payload.DoubleSided(8, 40_000))
 	if err != nil && errors.Is(err, context.Canceled) {
 		fmt.Println("DUE response pipeline: [interrupted]")
 		if res != nil {

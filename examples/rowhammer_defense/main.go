@@ -6,10 +6,21 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"safeguard"
 )
+
+// attack runs a bank-model attack; the example's programs are fixed and
+// valid, so an error is a bug.
+func attack(bank *safeguard.Bank, mit safeguard.Mitigation, p *safeguard.AttackProgram) safeguard.AttackResult {
+	res, err := safeguard.RunAttack(bank, mit, p)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 func main() {
 	cfg := safeguard.DefaultRHConfig()
@@ -28,7 +39,7 @@ func main() {
 	for _, c := range classic {
 		bank := safeguard.NewBank(cfg)
 		mit := c.mit()
-		res := safeguard.RunAttack(bank, mit, &safeguard.DoubleSided{Victim: victim}, 1)
+		res := attack(bank, mit, safeguard.DoubleSided(victim, safeguard.ActsPerWindow))
 		note := "mitigation held"
 		if res.TotalFlips > 0 {
 			// PARA is probabilistic: a ~e^-10 per-window tail can leak a
@@ -42,27 +53,22 @@ func main() {
 
 	fmt.Println("\n=== Phase 2: breakthrough patterns defeat the same mitigations ===")
 	type study struct {
-		name    string
-		mit     func() safeguard.Mitigation
-		pattern func() safeguard.AttackPattern
+		name string
+		mit  safeguard.Mitigation
+		prog *safeguard.AttackProgram
 	}
+	const acts = 2 * safeguard.ActsPerWindow // two refresh windows
 	studies := []study{
-		{"TRRespass vs TRR", func() safeguard.Mitigation { return safeguard.NewTRR(4) },
-			func() safeguard.AttackPattern {
-				return &safeguard.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000}
-			}},
-		{"Half-Double vs PARA", func() safeguard.Mitigation { return safeguard.NewPARA(cfg.Threshold, 1) },
-			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim} }},
-		{"Half-Double vs Graphene", func() safeguard.Mitigation { return safeguard.NewGraphene(cfg.Threshold) },
-			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim, NearEvery: 680} }},
-		{"Half-Double vs TRR", func() safeguard.Mitigation { return safeguard.NewTRR(4) },
-			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim, NearEvery: 1130} }},
+		{"TRRespass vs TRR", safeguard.NewTRR(4), safeguard.ManySided(victim, 12, 6000, acts)},
+		{"Half-Double vs PARA", safeguard.NewPARA(cfg.Threshold, 1), safeguard.HalfDouble(victim, 0, acts)},
+		{"Half-Double vs Graphene", safeguard.NewGraphene(cfg.Threshold), safeguard.HalfDouble(victim, 680, acts)},
+		{"Half-Double vs TRR", safeguard.NewTRR(4), safeguard.HalfDouble(victim, 1130, acts)},
 	}
 
 	banks := make([]*safeguard.Bank, 0, len(studies))
 	for _, st := range studies {
 		bank := safeguard.NewBank(cfg)
-		res := safeguard.RunAttack(bank, st.mit(), st.pattern(), 2)
+		res := attack(bank, st.mit, st.prog)
 		fmt.Printf("  %-24s: %d flips across %d victim rows (%d mitigation refreshes issued)\n",
 			st.name, res.TotalFlips, len(res.FlipsByRow), res.MitigationRefreshes)
 		banks = append(banks, bank)
@@ -84,18 +90,18 @@ func main() {
 	fmt.Println("\n=== Phase 4: the same fight through the cycle-level controller ===")
 	fmt.Println("Mitigations resolved by registry name run as controller plugins; their")
 	fmt.Println("victim refreshes are VRR commands paying real bank timing (tRAS+tRP).")
+	hammer := safeguard.DoubleSided(victim, 30_000)
 	for _, name := range safeguard.MitigationNames() {
-		mcCfg := safeguard.MCAttackConfig{
+		mcCfg := safeguard.ProgramRunConfig{
 			Bank: safeguard.RHConfig{
 				Rows: 8192, Threshold: 1000, LinesPerRow: 16,
 				VulnerableCellsPerRow: 64, FlipsPerCrossing: 8, Seed: 2022,
 			},
 			Mitigation: name,
 			Seed:       2022,
-			Accesses:   30_000,
 			MaxCycles:  20_000_000,
 		}
-		res, err := safeguard.RunMCAttack(mcCfg, &safeguard.DoubleSided{Victim: victim})
+		res, err := safeguard.RunProgram(context.Background(), mcCfg, hammer)
 		if err != nil {
 			panic(err)
 		}

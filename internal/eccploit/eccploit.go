@@ -23,6 +23,7 @@ import (
 
 	"safeguard/internal/bits"
 	"safeguard/internal/ecc"
+	"safeguard/internal/payload"
 	"safeguard/internal/rowhammer"
 )
 
@@ -92,14 +93,20 @@ func Run(cfg Config, codec ecc.Codec) Outcome {
 		metas[line] = codec.Encode(bank.GoldenLine(cfg.Victim, line), addr)
 	}
 
-	pattern := &rowhammer.DoubleSided{Victim: cfg.Victim}
-	for window := 1; window <= cfg.MaxWindows; window++ {
-		out.WindowsRun = window
-		// One escalation step: enough hammering for one more flip batch.
-		for i := 0; i < cfg.Bank.Threshold+8; i++ {
-			bank.Activate(pattern.Next())
+	if cfg.MaxWindows < 1 {
+		return out
+	}
+	// One escalation step per window: enough hammering for one more flip
+	// batch, then probe every line with the timing oracle.
+	perWindow := cfg.Bank.Threshold + 8
+	acts := 0
+	payload.DoubleSided(cfg.Victim, cfg.MaxWindows*perWindow).Walk(func(s payload.Step) bool {
+		bank.Activate(s.Row)
+		if acts++; acts%perWindow != 0 {
+			return true
 		}
-		// Probe every line with the timing oracle.
+		window := acts / perWindow
+		out.WindowsRun = window
 		for line := 0; line < cfg.Bank.LinesPerRow; line++ {
 			addr := lineAddr(cfg, line)
 			stored := bank.ReadLine(cfg.Victim, line)
@@ -121,12 +128,13 @@ func Run(cfg Config, codec ecc.Codec) Outcome {
 			}
 		}
 		if out.SilentAtWindow != 0 {
-			return out
+			return false
 		}
 		// End of refresh window: disturbance clears, flips persist —
 		// exactly the persistence ECCploit escalates on.
 		bank.RefreshWindow()
-	}
+		return true
+	})
 	return out
 }
 

@@ -203,18 +203,18 @@ func TestFigure1b(t *testing.T) {
 	}
 	for _, r := range results {
 		if !r.Attack.Broke() {
-			t.Fatalf("attack %s vs %s produced no flips", r.Attack.Pattern, r.Attack.Mitigation)
+			t.Fatalf("attack %s vs %s produced no flips", r.Attack.Program, r.Attack.Mitigation)
 		}
 		for _, d := range r.Detection {
 			if d.Scheme != "SECDED" && d.Silent != 0 {
-				t.Fatalf("%s leaked %d silent lines under %s", d.Scheme, d.Silent, r.Attack.Pattern)
+				t.Fatalf("%s leaked %d silent lines under %s", d.Scheme, d.Silent, r.Attack.Program)
 			}
 		}
 	}
 	// Half-Double studies must show distance-2 flips.
 	for _, r := range results[1:] {
 		if r.DistanceTwoFlips == 0 {
-			t.Fatalf("%s vs %s: no distance-2 flips", r.Attack.Pattern, r.Attack.Mitigation)
+			t.Fatalf("%s vs %s: no distance-2 flips", r.Attack.Program, r.Attack.Mitigation)
 		}
 	}
 }

@@ -3,13 +3,14 @@ package experiments
 import (
 	"safeguard/internal/ecc"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/rowhammer"
 )
 
 // Figure1bResult is one (attack, mitigation) outcome of the breakthrough
 // study, including what a protection scheme then does with the flips.
 type Figure1bResult struct {
-	Attack    rowhammer.AttackResult
+	Attack    payload.AttackResult
 	Detection []rowhammer.DetectionOutcome
 	// DistanceTwoFlips counts flips two rows from the hammered aggressor
 	// (the Half-Double signature of Figure 1b).
@@ -33,39 +34,27 @@ func Figure1b(seed uint64) []Figure1bResult {
 	cfg.FlipsPerCrossing = 16
 
 	type study struct {
-		mit       func() memctrl.Plugin
-		pattern   func() rowhammer.Pattern
+		mit       memctrl.Plugin
+		prog      *payload.Program
 		reference int
 	}
 	const victim = 4000
+	const acts = 2 * memctrl.ActsPerWindow // two refresh windows
 	studies := []study{
-		{
-			mit:       func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} },
-			reference: victim - 1,
-		},
-		{
-			mit:       func() memctrl.Plugin { return memctrl.NewPARAPlugin(cfg.Threshold, seed) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim} },
-			reference: victim + 2,
-		},
-		{
-			mit:       func() memctrl.Plugin { return memctrl.NewGraphenePlugin(cfg.Threshold) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 680} },
-			reference: victim + 2,
-		},
-		{
-			mit:       func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 1130} },
-			reference: victim + 2,
-		},
+		{memctrl.NewTRRPlugin(4), payload.ManySided(victim, 12, 6000, acts), victim - 1},
+		{memctrl.NewPARAPlugin(cfg.Threshold, seed), payload.HalfDouble(victim, 0, acts), victim + 2},
+		{memctrl.NewGraphenePlugin(cfg.Threshold), payload.HalfDouble(victim, 680, acts), victim + 2},
+		{memctrl.NewTRRPlugin(4), payload.HalfDouble(victim, 1130, acts), victim + 2},
 	}
 
 	keyed := testKey()
 	out := make([]Figure1bResult, 0, len(studies))
 	for _, st := range studies {
 		bank := rowhammer.NewBank(cfg)
-		res := rowhammer.RunAttackAround(bank, st.mit(), st.pattern(), 2, st.reference)
+		res, err := payload.RunAttackAround(bank, st.mit, st.prog, st.reference)
+		if err != nil {
+			panic(err) // the study programs are fixed and valid
+		}
 		r := Figure1bResult{
 			Attack:           res,
 			DistanceTwoFlips: res.FlipsByDistance[2],
@@ -95,12 +84,12 @@ func Figure2(seed uint64) Figure2Result {
 	cfg.Seed = seed
 	bank := rowhammer.NewBank(cfg)
 	const victim = 2000
-	p := &rowhammer.DoubleSided{Victim: victim}
 	acts := 0
-	for len(bank.FlipsInRow(victim)) == 0 && acts < 4*cfg.Threshold {
-		bank.Activate(p.Next())
+	payload.DoubleSided(victim, 4*cfg.Threshold).Walk(func(s payload.Step) bool {
+		bank.Activate(s.Row)
 		acts++
-	}
+		return len(bank.FlipsInRow(victim)) == 0
+	})
 	return Figure2Result{
 		Threshold:        cfg.Threshold,
 		ActivationsUsed:  acts,

@@ -2,7 +2,7 @@
 // over the ACT/REF command stream: the one implementation of each. A
 // plugin issues victim-row refreshes through the VRRSink it is bound to.
 // Attached to a Controller, the sink is the controller's VRR queue, which
-// issues them under real bank timing; driven by rowhammer.RunAttack, the
+// issues them under real bank timing; driven by payload.RunAttack, the
 // sink refreshes the bank model at once.
 //
 // State is kept per (rank, bank): one sampler/tracker/filter instance per
@@ -372,7 +372,7 @@ func (g *GraphenePlugin) DrainStats() PluginStats {
 // per-bank counting Bloom filters track activations within the refresh
 // window, and rows over the per-window cap are denied further ACTs via
 // the ActGate — in the controller the throttling shows up as real
-// queueing delay, in rowhammer.RunAttack as a skipped activation slot.
+// queueing delay, in payload.RunAttack as a skipped activation slot.
 // BlockHammer issues no victim refreshes, so Half-Double cannot turn it
 // against its victims.
 //

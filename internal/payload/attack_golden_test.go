@@ -1,4 +1,4 @@
-package rowhammer
+package payload
 
 import (
 	"bytes"
@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"safeguard/internal/ecc"
+	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/rowhammer"
 )
 
 // Attack goldens: the outcome of every mitigation over a frozen matrix of
@@ -26,17 +28,34 @@ import (
 // attack runner's ACT/REF cadence, or the bank's disturbance model shows
 // up as a diff. Regenerate intentionally with
 //
-//	go test ./internal/rowhammer -run TestAttackGolden -update
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+//	go test ./internal/payload -run TestAttackGolden -update
+var update = flag.Bool("update", false, "rewrite testdata golden files")
+
+func testConfig() rowhammer.Config {
+	cfg := rowhammer.DefaultConfig()
+	cfg.Rows = 4096
+	cfg.Seed = 7
+	return cfg
+}
+
+func testKeyed() *mac.Keyed {
+	var key [16]byte
+	for i := range key {
+		key[i] = byte(0x40 + i)
+	}
+	return mac.NewKeyed(key)
+}
+
+// windows is the program length of an n-window pure-model run.
+func windows(n int) int { return n * memctrl.ActsPerWindow }
 
 type goldenScenario struct {
 	name      string
-	cfg       Config
+	cfg       rowhammer.Config
 	mit       string // registry name, sized for threshold
 	threshold int
 	seed      uint64 // PARA's coin-flip seed
-	pattern   func() Pattern
-	windows   int
+	prog      *Program
 	reference int
 }
 
@@ -50,7 +69,7 @@ func goldenScenarios() []goldenScenario {
 
 	const victim = 4000
 	for seed := uint64(1); seed <= 6; seed++ {
-		cfg := DefaultConfig()
+		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = seed
 		cfg.LinesPerRow = 16
@@ -59,66 +78,66 @@ func goldenScenarios() []goldenScenario {
 		th := cfg.Threshold
 		out = append(out,
 			goldenScenario{fmt.Sprintf("fig1b/trrespass-trr/seed%d", seed), cfg, "trr", th, seed,
-				func() Pattern { return &ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} }, 2, victim - 1},
+				ManySided(victim, 12, 6000, windows(2)), victim - 1},
 			goldenScenario{fmt.Sprintf("fig1b/halfdouble-para/seed%d", seed), cfg, "para", th, seed,
-				func() Pattern { return &HalfDouble{Victim: victim} }, 2, victim + 2},
+				HalfDouble(victim, 0, windows(2)), victim + 2},
 			goldenScenario{fmt.Sprintf("fig1b/halfdouble-graphene/seed%d", seed), cfg, "graphene", th, seed,
-				func() Pattern { return &HalfDouble{Victim: victim, NearEvery: 680} }, 2, victim + 2},
+				HalfDouble(victim, 680, windows(2)), victim + 2},
 			goldenScenario{fmt.Sprintf("fig1b/halfdouble-trr/seed%d", seed), cfg, "trr", th, seed,
-				func() Pattern { return &HalfDouble{Victim: victim, NearEvery: 1130} }, 2, victim + 2},
+				HalfDouble(victim, 1130, windows(2)), victim + 2},
 		)
 	}
 
-	bhCfg := DefaultConfig()
+	bhCfg := rowhammer.DefaultConfig()
 	bhCfg.Rows = 8192
 	bhCfg.Seed = 17
-	bhPatterns := []struct {
+	bhPrograms := []struct {
 		name string
-		mk   func() Pattern
+		mk   func(acts int) *Program
 	}{
-		{"single", func() Pattern { return &SingleSided{Aggressor: 2222} }},
-		{"double", func() Pattern { return &DoubleSided{Victim: victim} }},
-		{"trrespass", func() Pattern { return &ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} }},
-		{"halfdouble", func() Pattern { return &HalfDouble{Victim: victim, NearEvery: 1130} }},
+		{"single", func(n int) *Program { return SingleSided(2222, n) }},
+		{"double", func(n int) *Program { return DoubleSided(victim, n) }},
+		{"trrespass", func(n int) *Program { return ManySided(victim, 12, 6000, n) }},
+		{"halfdouble", func(n int) *Program { return HalfDouble(victim, 1130, n) }},
 	}
 	for _, sizing := range []struct {
 		name      string
 		threshold int
 	}{{"sized", bhCfg.Threshold}, {"undersized", 3 * bhCfg.Threshold}} {
-		for _, windows := range []int{1, 2} {
-			for _, p := range bhPatterns {
+		for _, w := range []int{1, 2} {
+			for _, p := range bhPrograms {
 				out = append(out, goldenScenario{
-					fmt.Sprintf("blockhammer/%s/%s/w%d", sizing.name, p.name, windows),
-					bhCfg, "blockhammer", sizing.threshold, 0, p.mk, windows, victim,
+					fmt.Sprintf("blockhammer/%s/%s/w%d", sizing.name, p.name, w),
+					bhCfg, "blockhammer", sizing.threshold, 0, p.mk(windows(w)), victim,
 				})
 			}
 		}
 	}
 
-	abCfg := DefaultConfig()
+	abCfg := rowhammer.DefaultConfig()
 	abCfg.Rows = 8192
 	abCfg.Seed = 13
 	out = append(out,
 		goldenScenario{"ablation/none-double", abCfg, "none", abCfg.Threshold, 13,
-			func() Pattern { return &DoubleSided{Victim: victim} }, 1, victim},
+			DoubleSided(victim, windows(1)), victim},
 		goldenScenario{"ablation/trr-trrespass", abCfg, "trr", abCfg.Threshold, 13,
-			func() Pattern { return &ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} }, 1, victim - 1},
+			ManySided(victim, 12, 6000, windows(1)), victim - 1},
 		goldenScenario{"ablation/para-halfdouble", abCfg, "para", abCfg.Threshold, 13,
-			func() Pattern { return &HalfDouble{Victim: victim} }, 1, victim + 2},
+			HalfDouble(victim, 0, windows(1)), victim + 2},
 		goldenScenario{"ablation/graphene-halfdouble", abCfg, "graphene", abCfg.Threshold, 13,
-			func() Pattern { return &HalfDouble{Victim: victim, NearEvery: 680} }, 1, victim + 2},
+			HalfDouble(victim, 680, windows(1)), victim + 2},
 	)
 
 	mwCfg := testConfig()
 	out = append(out,
 		goldenScenario{"multiwindow/trr-trrespass-w4", mwCfg, "trr", mwCfg.Threshold, 0,
-			func() Pattern { return &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000} }, 4, 1199},
+			ManySided(1200, 12, 2000, windows(4)), 1199},
 		goldenScenario{"multiwindow/para-halfdouble-w3", mwCfg, "para", mwCfg.Threshold, 2,
-			func() Pattern { return &HalfDouble{Victim: 1500} }, 3, 1502},
+			HalfDouble(1500, 0, windows(3)), 1502},
 		goldenScenario{"multiwindow/graphene-halfdouble-w3", mwCfg, "graphene", mwCfg.Threshold, 0,
-			func() Pattern { return &HalfDouble{Victim: 1500, NearEvery: 680} }, 3, 1502},
+			HalfDouble(1500, 680, windows(3)), 1502},
 		goldenScenario{"multiwindow/blockhammer-double-w4", mwCfg, "blockhammer", mwCfg.Threshold, 0,
-			func() Pattern { return &DoubleSided{Victim: 1000} }, 4, 1000},
+			DoubleSided(1000, windows(4)), 1000},
 	)
 	return out
 }
@@ -133,14 +152,14 @@ func goldenMitigation(name string, threshold int, seed uint64) memctrl.Plugin {
 }
 
 type goldenAttack struct {
-	TotalFlips          int                `json:"totalFlips"`
-	Activations         int                `json:"activations"`
-	MitigationRefreshes int                `json:"mitigationRefreshes"`
-	Throttled           int                `json:"throttled"`
-	FlipsByRow          map[int]int        `json:"flipsByRow"`
-	FlipsByDistance     map[int]int        `json:"flipsByDistance"`
-	FlipListSHA256      string             `json:"flipListSha256"`
-	Detection           []DetectionOutcome `json:"detection"`
+	TotalFlips          int                          `json:"totalFlips"`
+	Activations         int                          `json:"activations"`
+	MitigationRefreshes int                          `json:"mitigationRefreshes"`
+	Throttled           int                          `json:"throttled"`
+	FlipsByRow          map[int]int                  `json:"flipsByRow"`
+	FlipsByDistance     map[int]int                  `json:"flipsByDistance"`
+	FlipListSHA256      string                       `json:"flipListSha256"`
+	Detection           []rowhammer.DetectionOutcome `json:"detection"`
 }
 
 // goldenStream is one mitigation's decision sequence over the mixed
@@ -157,9 +176,12 @@ type goldenFile struct {
 }
 
 func runGoldenScenario(sc goldenScenario) goldenAttack {
-	b := NewBank(sc.cfg)
+	b := rowhammer.NewBank(sc.cfg)
 	mit := goldenMitigation(sc.mit, sc.threshold, sc.seed)
-	res := RunAttackAround(b, mit, sc.pattern(), sc.windows, sc.reference)
+	res, err := RunAttackAround(b, mit, sc.prog, sc.reference)
+	if err != nil {
+		panic(err)
+	}
 	h := sha256.New()
 	for _, f := range b.Flips() {
 		fmt.Fprintf(h, "%d,%d,%d\n", f.Row, f.Line, f.Bit)
@@ -172,10 +194,10 @@ func runGoldenScenario(sc goldenScenario) goldenAttack {
 		FlipsByRow:          res.FlipsByRow,
 		FlipsByDistance:     res.FlipsByDistance,
 		FlipListSHA256:      hex.EncodeToString(h.Sum(nil)),
-		Detection: []DetectionOutcome{
-			EvaluateDetection(b, ecc.NewSECDED()),
-			EvaluateDetection(b, ecc.NewSafeGuardSECDED(testKeyed())),
-			EvaluateDetection(b, ecc.NewSafeGuardChipkill(testKeyed())),
+		Detection: []rowhammer.DetectionOutcome{
+			rowhammer.EvaluateDetection(b, ecc.NewSECDED()),
+			rowhammer.EvaluateDetection(b, ecc.NewSafeGuardSECDED(testKeyed())),
+			rowhammer.EvaluateDetection(b, ecc.NewSafeGuardChipkill(testKeyed())),
 		},
 	}
 }
@@ -303,7 +325,7 @@ func TestAttackGolden(t *testing.T) {
 	}
 	blob = append(blob, '\n')
 	path := filepath.Join("testdata", "attack_golden.json")
-	if *updateGolden {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}

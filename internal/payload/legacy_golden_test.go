@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
-	"fmt"
 	"hash"
 	"os"
 	"path/filepath"
@@ -15,12 +13,11 @@ import (
 	"testing"
 
 	"safeguard/internal/memctrl"
-	"safeguard/internal/rowhammer"
 )
 
-// Goldens recorded from the scripted attack code (rowhammer.Pattern and
-// rowhammer.RunMCAttack) that the library programs and payload.Run
-// replace:
+// Goldens recorded from the scripted attack code that the library
+// programs and Run replaced (the rowhammer package's Pattern types and
+// its controller-driven attack runner), before that code was deleted:
 //
 //   - testdata/scripted_golden.json: the scripted runner's outcome over
 //     TestPayloadScriptedParity's grid;
@@ -29,36 +26,18 @@ import (
 //     the tree, and the SHA-256 of each library program's canonical
 //     Encode() bytes.
 //
-// Regenerate intentionally with
-//
-//	go test ./internal/payload -run 'TestPayloadScriptedParity|TestLibraryStreamsMatchPatterns' -update
-var update = flag.Bool("update", false, "rewrite testdata golden files")
+// The recorder is gone with the code it recorded, so these files are
+// fixed oracles: a diff against them is a behaviour change.
 
 func readGolden(t *testing.T, name string, v any) {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
+		t.Fatalf("missing golden file: %v", err)
 	}
 	if err := json.Unmarshal(blob, v); err != nil {
 		t.Fatalf("corrupt golden file %s: %v", name, err)
 	}
-}
-
-func writeGolden(t *testing.T, name string, v any) {
-	t.Helper()
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("testdata", name)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("rewrote %s", path)
 }
 
 // scriptedRun is one controller-driven run as the scripted runner
@@ -97,34 +76,6 @@ func parityPrograms() []*Program {
 	}
 }
 
-func recordScriptedGolden(t *testing.T) {
-	legacy := map[string]func() rowhammer.Pattern{
-		"single-sided(500)":      func() rowhammer.Pattern { return &rowhammer.SingleSided{Aggressor: 500} },
-		"double-sided(500)":      func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 500} },
-		"many-sided(500,+6@800)": func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: 500, Dummies: 6, DummyBase: 800} },
-		"half-double(500,near8)": func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 500, NearEvery: 8} },
-	}
-	out := make(map[string]scriptedRun)
-	for _, mit := range parityMitigations {
-		for _, p := range parityPrograms() {
-			res, err := rowhammer.RunMCAttack(rowhammer.MCAttackConfig{
-				Bank: parityBank(), Mitigation: mit, Seed: 3,
-				Accesses: parityActs, MaxCycles: 4_000_000,
-			}, legacy[p.Name]())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[mit+"/"+p.Name] = scriptedRun{
-				Activations: res.Accesses, Stalled: res.Stalled,
-				TotalFlips: res.TotalFlips, FlipsByRow: res.FlipsByRow,
-				MitigationRefreshes: res.MitigationRefreshes,
-				PluginStats:         res.PluginStats, MCStats: res.MCStats, Cycles: res.Cycles,
-			}
-		}
-	}
-	writeGolden(t, "scripted_golden.json", out)
-}
-
 // TestPayloadScriptedParity is the payload-vs-scripted contract: each
 // legacy attack pattern, encoded as a DSL program, must reproduce the
 // recorded scripted-runner run exactly — same flips (per row), same
@@ -133,10 +84,6 @@ func recordScriptedGolden(t *testing.T) {
 // cycle engine, across every mitigation in the registry.
 func TestPayloadScriptedParity(t *testing.T) {
 	t.Parallel()
-	if *update {
-		recordScriptedGolden(t)
-		return
-	}
 	var want map[string]scriptedRun
 	readGolden(t, "scripted_golden.json", &want)
 	for _, mit := range parityMitigations {
@@ -245,67 +192,12 @@ func sha256Hex(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func recordLibraryGolden(t *testing.T) {
-	legacy := func(name string) (rowhammer.Pattern, int) {
-		var v, a, b int
-		switch {
-		case scan(name, "single-sided(%d)", &v):
-			return &rowhammer.SingleSided{Aggressor: v}, 1
-		case scan(name, "double-sided(%d)", &v):
-			return &rowhammer.DoubleSided{Victim: v}, 2
-		case scan(name, "many-sided(%d,+%d@%d)", &v, &a, &b):
-			return &rowhammer.ManySided{Victim: v, Dummies: a, DummyBase: b}, 2 + 2*a
-		case scan(name, "half-double(%d,near%d)", &v, &a):
-			if a == 0 {
-				return &rowhammer.HalfDouble{Victim: v}, 2
-			}
-			return &rowhammer.HalfDouble{Victim: v, NearEvery: a}, 2 * a
-		}
-		t.Fatalf("no scripted pattern for %s", name)
-		return nil, 0
-	}
-	out := make(map[string]libraryGolden)
-	for _, mk := range libraryCases {
-		name := mk(1).Name
-		pat, period := legacy(name)
-		g := libraryGolden{Period: period, StreamRows: 2 * period * 1000, EncodeSHA256: make(map[string]string)}
-		h := newRowHasher()
-		for i := 0; i < g.StreamRows; i++ {
-			h.add(pat.Next())
-		}
-		g.StreamSHA256 = h.hex()
-		for _, n := range encodeLengths(period) {
-			g.EncodeSHA256[strconv.Itoa(n)] = sha256Hex(mk(n).Encode())
-		}
-		out[name] = g
-	}
-	writeGolden(t, "library_golden.json", out)
-}
-
-// scan reports whether s parses completely as format.
-func scan(s, format string, args ...any) bool {
-	n, err := fmt.Sscanf(s, format, args...)
-	return err == nil && n == len(args) && fmt.Sprintf(format, derefInts(args)...) == s
-}
-
-func derefInts(args []any) []any {
-	out := make([]any, len(args))
-	for i, a := range args {
-		out[i] = *a.(*int)
-	}
-	return out
-}
-
 // TestLibraryStreamsMatchPatterns checks each library program's expansion
 // against the recorded scripted-pattern stream: 2×period×1000 rows must
 // hash to the recorded SHA-256, and a 1000-act program (remainders) must
 // be a prefix of that stream.
 func TestLibraryStreamsMatchPatterns(t *testing.T) {
 	t.Parallel()
-	if *update {
-		recordLibraryGolden(t)
-		return
-	}
 	var want map[string]libraryGolden
 	readGolden(t, "library_golden.json", &want)
 	if len(want) != len(libraryCases) {

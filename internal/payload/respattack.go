@@ -6,7 +6,7 @@
 // → quarantine, and the run ends with the aggressor's rows gated at the
 // controller (its ACTs denied, BlockHammer-style) while the benign
 // workload keeps running at bounded slowdown.
-package rowhammer
+package payload
 
 import (
 	"context"
@@ -20,13 +20,15 @@ import (
 	"safeguard/internal/memctrl"
 	"safeguard/internal/memsys"
 	"safeguard/internal/response"
+	"safeguard/internal/rowhammer"
 	"safeguard/internal/telemetry"
 )
 
 // ResponseAttackConfig parameterizes a response-enabled attack run.
 type ResponseAttackConfig struct {
-	// Bank configures the disturbance model (DefaultConfig when zero).
-	Bank Config
+	// Bank configures the disturbance model (rowhammer.DefaultConfig when
+	// zero).
+	Bank rowhammer.Config
 	// Mitigation optionally attaches an in-controller defense
 	// (memctrl.MitigationNames); the pipeline works with "none" too.
 	Mitigation string
@@ -34,9 +36,8 @@ type ResponseAttackConfig struct {
 	MitigationThreshold int
 	// Seed drives MAC keying and mitigation randomness.
 	Seed uint64
-	// Accesses is the attacker's access budget.
-	Accesses int
-	// MaxCycles bounds each access wait (default: 4000/access + slack).
+	// MaxCycles bounds each access wait (default: 4000 per program ACT
+	// plus slack).
 	MaxCycles int64
 	// Engine configures the escalation thresholds
 	// (response.DefaultEngineConfig when zero).
@@ -67,10 +68,10 @@ type ResponseAttackConfig struct {
 
 // ResponseAttackResult summarizes the escalation.
 type ResponseAttackResult struct {
-	Pattern    string
+	Program    string
 	Mitigation string
 	// AttackerAccesses completed before the attack stopped (quarantine,
-	// stall, or budget).
+	// stall, or the end of the program).
 	AttackerAccesses int
 	Cycles           int64
 	Stalled          bool
@@ -110,21 +111,25 @@ type ResponseAttackResult struct {
 	MCStats  memctrl.Stats
 }
 
-// RunResponseAttack drives the attack pattern through a single-bank
-// controller with the full response pipeline attached.
-func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pattern) (*ResponseAttackResult, error) {
+// RunResponseAttack drives an ACT-only attack program through a
+// single-bank controller with the full response pipeline attached; each
+// ACT is one attacker access.
+func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, p *Program) (*ResponseAttackResult, error) {
 	if cfg.Bank.Rows == 0 {
-		cfg.Bank = DefaultConfig()
+		cfg.Bank = rowhammer.DefaultConfig()
 	}
 	if err := cfg.Bank.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkActOnly(p, cfg.Bank.Rows); err != nil {
+		return nil, err
+	}
 	if len(cfg.VictimRows) == 0 {
-		return nil, fmt.Errorf("rowhammer: response attack needs at least one victim row")
+		return nil, fmt.Errorf("payload: response attack needs at least one victim row")
 	}
 	for _, r := range cfg.VictimRows {
 		if r < 0 || r >= cfg.Bank.Rows {
-			return nil, fmt.Errorf("rowhammer: victim row %d outside bank of %d rows", r, cfg.Bank.Rows)
+			return nil, fmt.Errorf("payload: victim row %d outside bank of %d rows", r, cfg.Bank.Rows)
 		}
 	}
 	engCfg := cfg.Engine
@@ -147,44 +152,20 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 	if policyTh <= 0 {
 		policyTh = 3
 	}
-	mitName := cfg.Mitigation
-	if mitName == "" {
-		mitName = "none"
-	}
-	th := cfg.MitigationThreshold
-	if th == 0 {
-		th = cfg.Bank.Threshold
-	}
-
-	geom := dram.Geometry{
-		Ranks:       1,
-		Banks:       1,
-		RowsPerBank: cfg.Bank.Rows,
-		RowBytes:    cfg.Bank.LinesPerRow * 64,
-		LineBytes:   64,
-	}
-	if err := geom.Validate(); err != nil {
-		return nil, err
-	}
-
 	// Cycle-level side: controller + mitigation + disturbance tracer +
 	// quarantine gate + spare region.
-	mc := memctrl.New(geom, dram.DDR4_3200())
-	mit, err := memctrl.NewMitigationPlugin(mitName, th, cfg.Seed)
+	rig, err := newAttackRig(cfg.Bank, cfg.Mitigation, cfg.MitigationThreshold, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	mc.AttachPlugin(mit)
-	tracer := NewActivationTracer(cfg.Bank)
-	mc.AttachPlugin(tracer)
+	mc, mapper := rig.mc, rig.mapper
 	gate := memctrl.NewQuarantineGate()
 	mc.AttachPlugin(gate)
 	if err := mc.ReserveSpareRows(spareRows); err != nil {
 		return nil, err
 	}
 	mc.AttachTelemetry(cfg.Telemetry, cfg.Trace)
-	mapper := dram.NewMapper(geom)
-	bank := tracer.Bank(0, 0)
+	bank := rig.tracer.Bank(0, 0)
 
 	// Functional side: MAC-protected memory over the victim rows, with
 	// the engine wired into its read path and mirrored into the
@@ -203,7 +184,7 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 		}
 	}
 
-	res := &ResponseAttackResult{Pattern: pattern.Name(), Mitigation: mitName}
+	res := &ResponseAttackResult{Program: p.Name, Mitigation: rig.mitigation}
 	attackRows := make(map[int]bool)
 	quarantineNow := func(rows []int) {
 		res.Quarantined = true
@@ -237,7 +218,7 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
-		maxCycles = int64(cfg.Accesses)*4000 + 200_000
+		maxCycles = p.Acts()*4000 + 200_000
 	}
 
 	// Flip propagation: new disturbance flips land in the memsys image of
@@ -313,36 +294,32 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 	}
 
 	attackBenignReads := 0
-attack:
-	for res.AttackerAccesses < cfg.Accesses && !res.Quarantined {
-		if ctx.Err() != nil {
-			break
+	p.Walk(func(s Step) bool {
+		if res.Quarantined || ctx.Err() != nil {
+			return false
 		}
-		row := pattern.Next()
-		if row < 0 || row >= cfg.Bank.Rows {
-			return res, fmt.Errorf("pattern row %d outside bank of %d rows", row, cfg.Bank.Rows)
-		}
-		attackRows[row] = true
+		attackRows[s.Row] = true
 		done := false
-		mc.EnqueueRead(mapper.Encode(dram.Coord{Row: row}), func(int64) { done = true })
+		mc.EnqueueRead(mapper.Encode(dram.Coord{Row: s.Row}), func(int64) { done = true })
 		for !done && mc.Now() < maxCycles {
 			if mc.Now()&1023 == 0 && ctx.Err() != nil {
-				break attack
+				return false
 			}
 			mc.Tick()
 		}
 		if !done {
 			res.Stalled = true
-			break
+			return false
 		}
 		res.AttackerAccesses++
 		if res.AttackerAccesses%benignEvery == 0 {
 			benignRound(false)
 			attackBenignReads += len(cfg.VictimRows)
-			if timingErr != nil {
-				return res, timingErr
-			}
 		}
+		return timingErr == nil
+	})
+	if timingErr != nil {
+		return res, timingErr
 	}
 
 	// The OS-level policy quarantining the attacker process also gates
@@ -394,6 +371,6 @@ attack:
 // String renders a one-line summary of the escalation outcome.
 func (r *ResponseAttackResult) String() string {
 	return fmt.Sprintf("%-24s vs %-11s: %d accesses, %d retries (%d hits), %d scrubs, retired %v, quarantined=%v, bad benign reads %d→%d",
-		r.Pattern, r.Mitigation, r.AttackerAccesses, r.EngineStats.Retries, r.EngineStats.RetryHits,
+		r.Program, r.Mitigation, r.AttackerAccesses, r.EngineStats.Retries, r.EngineStats.RetryHits,
 		r.EngineStats.Scrubs, r.RetiredRows, r.Quarantined, r.BadReadsDuringAttack, r.BadReadsAfterQuarantine)
 }

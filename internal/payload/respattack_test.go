@@ -1,4 +1,4 @@
-package rowhammer
+package payload
 
 import (
 	"context"
@@ -7,24 +7,21 @@ import (
 
 	"safeguard/internal/memctrl"
 	"safeguard/internal/response"
+	"safeguard/internal/rowhammer"
 )
 
-// roundRobin cycles through a fixed aggressor-row set.
-type roundRobin struct {
-	rows []int
-	i    int
-}
+// respAccesses is the attacker's access budget in the response tests.
+const respAccesses = 40_000
 
-func (p *roundRobin) Name() string { return "round-robin" }
-func (p *roundRobin) Next() int {
-	r := p.rows[p.i%len(p.rows)]
-	p.i++
-	return r
+// roundRobin cycles through a fixed aggressor-row set for `acts`
+// activations.
+func roundRobin(acts int, rows ...int) *Program {
+	return roll("round-robin", rows, acts)
 }
 
 func respCfg() ResponseAttackConfig {
 	return ResponseAttackConfig{
-		Bank: Config{
+		Bank: rowhammer.Config{
 			Rows:                  64,
 			Threshold:             16,
 			LinesPerRow:           2,
@@ -34,7 +31,6 @@ func respCfg() ResponseAttackConfig {
 		},
 		Mitigation: "none",
 		Seed:       7,
-		Accesses:   40_000,
 		Engine: response.EngineConfig{
 			MaxRetries:          2,
 			RetryBackoffCycles:  8,
@@ -56,7 +52,7 @@ func respCfg() ResponseAttackConfig {
 func TestResponseAttackFullEscalation(t *testing.T) {
 	t.Parallel()
 	cfg := respCfg()
-	res, err := RunResponseAttack(context.Background(), cfg, &roundRobin{rows: []int{7, 9, 11}})
+	res, err := RunResponseAttack(context.Background(), cfg, roundRobin(respAccesses, 7, 9, 11))
 	if err != nil {
 		t.Fatalf("RunResponseAttack: %v", err)
 	}
@@ -64,7 +60,7 @@ func TestResponseAttackFullEscalation(t *testing.T) {
 	if !res.Quarantined {
 		t.Fatalf("attack was not quarantined: %+v", res.EngineStats)
 	}
-	if res.AttackerAccesses >= cfg.Accesses {
+	if res.AttackerAccesses >= respAccesses {
 		t.Errorf("attacker ran out its full budget (%d) — quarantine never throttled it", res.AttackerAccesses)
 	}
 	if len(res.RetiredRows) < 2 {
@@ -158,17 +154,17 @@ func TestResponseAttackFullEscalation(t *testing.T) {
 func TestResponseAttackValidation(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	if _, err := RunResponseAttack(ctx, ResponseAttackConfig{Bank: Config{Rows: 8, Threshold: 4, LinesPerRow: 2}}, &roundRobin{rows: []int{1}}); err == nil {
+	if _, err := RunResponseAttack(ctx, ResponseAttackConfig{Bank: rowhammer.Config{Rows: 8, Threshold: 4, LinesPerRow: 2}}, roundRobin(1, 1)); err == nil {
 		t.Errorf("no victim rows accepted")
 	}
 	cfg := respCfg()
 	cfg.VictimRows = []int{999}
-	if _, err := RunResponseAttack(ctx, cfg, &roundRobin{rows: []int{1}}); err == nil {
+	if _, err := RunResponseAttack(ctx, cfg, roundRobin(1, 1)); err == nil {
 		t.Errorf("out-of-range victim row accepted")
 	}
 	cfg = respCfg()
 	cfg.Mitigation = "no-such-defense"
-	if _, err := RunResponseAttack(ctx, cfg, &roundRobin{rows: []int{1}}); err == nil {
+	if _, err := RunResponseAttack(ctx, cfg, roundRobin(1, 1)); err == nil {
 		t.Errorf("unknown mitigation accepted")
 	}
 }
@@ -179,7 +175,7 @@ func TestResponseAttackCancellation(t *testing.T) {
 	cancel()
 	cfg := respCfg()
 	start := time.Now()
-	res, err := RunResponseAttack(ctx, cfg, &roundRobin{rows: []int{7, 9, 11}})
+	res, err := RunResponseAttack(ctx, cfg, roundRobin(respAccesses, 7, 9, 11))
 	if err == nil {
 		t.Fatalf("cancelled run returned nil error")
 	}

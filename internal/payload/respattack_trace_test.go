@@ -1,4 +1,4 @@
-package rowhammer
+package payload
 
 import (
 	"context"
@@ -14,7 +14,7 @@ func runTracedAttack(t *testing.T) ([]telemetry.Event, telemetry.Snapshot, *Resp
 	cfg := respCfg()
 	cfg.Telemetry = telemetry.NewRegistry()
 	cfg.Trace = telemetry.NewTracer(1 << 18)
-	res, err := RunResponseAttack(context.Background(), cfg, &DoubleSided{Victim: 8})
+	res, err := RunResponseAttack(context.Background(), cfg, DoubleSided(8, respAccesses))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestResponseAttackAnalysisIncidents(t *testing.T) {
 	if len(a.Leaderboard) == 0 {
 		t.Fatal("no leaderboard")
 	}
-	// DoubleSided{Victim: 8} hammers rows 7 and 9.
+	// DoubleSided(8, …) hammers rows 7 and 9.
 	if top := a.Leaderboard[0].Row; top != 7 && top != 9 {
 		t.Fatalf("leaderboard top row = %d, want an aggressor (7 or 9)", top)
 	}

@@ -1,18 +1,16 @@
-// The payload interpreter: programs execute against the cycle-level
-// DDR4 controller exactly the way the scripted attack runner
-// (rowhammer.RunMCAttack) drives its patterns — each ACT becomes a line
-// read scheduled under FR-FCFS on a single-bank geometry (so every row
-// switch is a genuine precharge+activate), the named mitigation runs as
-// a controller plugin issuing real VRR commands, and the
-// rowhammer.ActivationTracer folds the resulting command stream into the
-// disturbance model. A program that unrolls to the same access stream as
-// a scripted pattern therefore produces bit-identical flips, counters,
-// and plugin decisions — the parity the run tests pin.
+// The payload interpreter: Run executes a program against the
+// cycle-level DDR4 controller. Each ACT becomes a line read scheduled
+// under FR-FCFS on a single-bank geometry, so every row switch is a
+// genuine precharge+activate; the named mitigation runs as a controller
+// plugin issuing real VRR commands; and a rowhammer.ActivationTracer
+// folds the resulting command stream into the disturbance model. A NOP
+// is an idle span in which the program issues nothing while queued
+// victim refreshes drain and the REF cadence advances; the searcher uses
+// it to jitter inter-ACT gaps.
 //
-// NOP is the one thing scripted patterns cannot express: an idle span in
-// which the program issues nothing while queued victim refreshes drain
-// and REF cadence advances. The searcher uses it to jitter inter-ACT
-// gaps.
+// Both engines produce bit-identical flips, counters and plugin
+// decisions; testdata/scripted_golden.json pins them for the library
+// programs against the scripted runner this interpreter replaced.
 package payload
 
 import (
@@ -109,33 +107,11 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("payload: unknown engine %q (valid: %s, %s)", cfg.Engine, EngineEvent, EngineCycle)
 	}
-	th := cfg.MitigationThreshold
-	if th == 0 {
-		th = cfg.Bank.Threshold
-	}
-	mitName := cfg.Mitigation
-	if mitName == "" {
-		mitName = "none"
-	}
-	geom := dram.Geometry{
-		Ranks:       1,
-		Banks:       1,
-		RowsPerBank: cfg.Bank.Rows,
-		RowBytes:    cfg.Bank.LinesPerRow * 64,
-		LineBytes:   64,
-	}
-	if err := geom.Validate(); err != nil {
-		return Result{}, err
-	}
-	mc := memctrl.New(geom, dram.DDR4_3200())
-	mit, err := memctrl.NewMitigationPlugin(mitName, th, cfg.Seed)
+	rig, err := newAttackRig(cfg.Bank, cfg.Mitigation, cfg.MitigationThreshold, cfg.Seed)
 	if err != nil {
 		return Result{}, err
 	}
-	mc.AttachPlugin(mit) // nil-safe for "none"
-	tracer := rowhammer.NewActivationTracer(cfg.Bank)
-	mc.AttachPlugin(tracer)
-	mapper := dram.NewMapper(geom)
+	mc := rig.mc
 
 	budget := p.Acts()
 	if cfg.MaxActivations > 0 && int64(cfg.MaxActivations) < budget {
@@ -147,7 +123,7 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 	}
 
 	r := &runner{mc: mc, event: event, ctx: ctx}
-	res := Result{Program: p.Name, Mitigation: mitName}
+	res := Result{Program: p.Name, Mitigation: rig.mitigation}
 	p.Walk(func(s Step) bool {
 		if s.IsAct {
 			if cfg.MaxActivations > 0 && res.Activations >= cfg.MaxActivations {
@@ -158,7 +134,7 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 				return false
 			}
 			done := false
-			mc.EnqueueRead(mapper.Encode(dram.Coord{Row: s.Row}), func(int64) { done = true })
+			mc.EnqueueRead(rig.mapper.Encode(dram.Coord{Row: s.Row}), func(int64) { done = true })
 			if !r.advance(func() bool { return done }, maxCycles) {
 				res.Stalled = r.ctxErr == nil
 				return false
@@ -182,8 +158,7 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 		return res, r.err
 	}
 	// Let queued victim refreshes land before reading out the damage
-	// (mirrors the scripted runner: running out of cycles here does not
-	// mark the program stalled).
+	// (running out of cycles here does not mark the program stalled).
 	if r.ctxErr == nil && !res.Stalled {
 		r.advance(mc.Idle, maxCycles)
 	}
@@ -192,7 +167,7 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 	res.PluginStats = mc.DrainPluginStats()
 	res.MCStats = mc.Stats
 	res.FlipsByRow = make(map[int]int)
-	bank := tracer.Bank(0, 0)
+	bank := rig.tracer.Bank(0, 0)
 	res.MitigationRefreshes = bank.MitigationRefreshes
 	res.PeakRow, res.PeakDisturbance = bank.Peak()
 	for _, f := range bank.Flips() {
@@ -200,6 +175,47 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 		res.TotalFlips++
 	}
 	return res, r.ctxErr
+}
+
+// attackRig is the single-bank DDR4-3200 controller the controller-driven
+// runners attack through, with the named mitigation plugin and an
+// ActivationTracer attached in that order. With one bank, every row
+// switch is a genuine precharge+activate.
+type attackRig struct {
+	mc         *memctrl.Controller
+	tracer     *rowhammer.ActivationTracer
+	mapper     *dram.Mapper
+	mitigation string // registry name; "none" when unset
+}
+
+// newAttackRig builds the rig over a validated bank configuration; a zero
+// threshold sizes the mitigation for the bank's RH-threshold.
+func newAttackRig(bank rowhammer.Config, mitigation string, threshold int, seed uint64) (attackRig, error) {
+	if mitigation == "" {
+		mitigation = "none"
+	}
+	if threshold == 0 {
+		threshold = bank.Threshold
+	}
+	geom := dram.Geometry{
+		Ranks:       1,
+		Banks:       1,
+		RowsPerBank: bank.Rows,
+		RowBytes:    bank.LinesPerRow * 64,
+		LineBytes:   64,
+	}
+	if err := geom.Validate(); err != nil {
+		return attackRig{}, err
+	}
+	mit, err := memctrl.NewMitigationPlugin(mitigation, threshold, seed)
+	if err != nil {
+		return attackRig{}, err
+	}
+	mc := memctrl.New(geom, dram.DDR4_3200())
+	mc.AttachPlugin(mit) // nil-safe for "none"
+	tracer := rowhammer.NewActivationTracer(bank)
+	mc.AttachPlugin(tracer)
+	return attackRig{mc: mc, tracer: tracer, mapper: dram.NewMapper(geom), mitigation: mitigation}, nil
 }
 
 // runner advances the controller clock under either engine.
@@ -220,8 +236,8 @@ func (r *runner) advance(done func() bool, limit int64) bool {
 			return true
 		}
 		// The cycle engine amortizes the cancellation check over 1024
-		// ticks like the scripted runner; the event engine can jump
-		// arbitrarily far, so it checks on every event.
+		// ticks; the event engine can jump arbitrarily far, so it checks
+		// on every event.
 		if (r.event || r.mc.Now()&1023 == 0) && r.ctx.Err() != nil {
 			r.ctxErr = r.ctx.Err()
 			return false

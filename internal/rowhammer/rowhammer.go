@@ -1,13 +1,15 @@
 // Package rowhammer models DRAM activation-disturbance (Row-Hammer) at the
 // bank level: per-row disturbance accumulation with a configurable
-// RH-Threshold and blast radius, and the published attack patterns that
-// motivate the SafeGuard paper — single-/double-sided hammering, TRRespass
-// many-sided patterns, and Google's Half-Double (Figure 1b).
+// RH-Threshold and blast radius, and what ECC makes of the resulting
+// flips (EvaluateDetection).
 //
-// The mitigations (PARA, TRR, Graphene, BlockHammer) are the memctrl
-// plugins. RunAttack drives one directly over the bank model, its victim
-// refreshes landing on the bank at once; RunMCAttack drives one through
-// the cycle-level controller, its refreshes issued as VRR commands.
+// The attacks that motivate the SafeGuard paper — single-/double-sided
+// hammering, TRRespass many-sided patterns, and Google's Half-Double
+// (Figure 1b) — are payload programs, and the mitigations (PARA, TRR,
+// Graphene, BlockHammer) are the memctrl plugins. payload.RunAttack
+// drives both directly over a Bank, victim refreshes landing on it at
+// once; payload.Run drives them through the cycle-level controller, where
+// an ActivationTracer feeds the command stream into the bank model.
 //
 // The model is calibrated to reproduce the qualitative security facts the
 // paper builds on rather than device physics:

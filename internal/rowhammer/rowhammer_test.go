@@ -1,4 +1,4 @@
-package rowhammer
+package rowhammer_test
 
 import (
 	"testing"
@@ -7,10 +7,12 @@ import (
 	"safeguard/internal/ecc"
 	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
+	"safeguard/internal/rowhammer"
 )
 
-func testConfig() Config {
-	cfg := DefaultConfig()
+func testConfig() rowhammer.Config {
+	cfg := rowhammer.DefaultConfig()
 	cfg.Rows = 4096
 	cfg.Seed = 7
 	return cfg
@@ -24,9 +26,22 @@ func testKeyed() *mac.Keyed {
 	return mac.NewKeyed(key)
 }
 
+// windows is the program length of an n-window pure-model run.
+func windows(n int) int { return n * memctrl.ActsPerWindow }
+
+// runAttack drives the program through payload.RunAttackAround.
+func runAttack(t *testing.T, b *rowhammer.Bank, mit memctrl.Plugin, p *payload.Program, reference int) payload.AttackResult {
+	t.Helper()
+	res, err := payload.RunAttackAround(b, mit, p, reference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestGoldenLineDeterministicAndDistinct(t *testing.T) {
 	t.Parallel()
-	b := NewBank(testConfig())
+	b := rowhammer.NewBank(testConfig())
 	if b.GoldenLine(5, 9) != b.GoldenLine(5, 9) {
 		t.Fatal("golden line not deterministic")
 	}
@@ -37,7 +52,7 @@ func TestGoldenLineDeterministicAndDistinct(t *testing.T) {
 
 func TestWriteReadLine(t *testing.T) {
 	t.Parallel()
-	b := NewBank(testConfig())
+	b := rowhammer.NewBank(testConfig())
 	var l bits.Line
 	l = l.WithWord(0, 0x1234)
 	b.WriteLine(3, 4, l)
@@ -51,9 +66,10 @@ func TestWriteReadLine(t *testing.T) {
 
 func TestHammeringBelowThresholdNoFlips(t *testing.T) {
 	t.Parallel()
-	b := NewBank(testConfig())
+	cfg := testConfig()
+	b := rowhammer.NewBank(cfg)
 	agg := 100
-	for i := 0; i < b.cfg.Threshold-1; i++ {
+	for i := 0; i < cfg.Threshold-1; i++ {
 		b.Activate(agg)
 	}
 	if len(b.Flips()) != 0 {
@@ -65,9 +81,10 @@ func TestSingleSidedHammerFlipsNeighbours(t *testing.T) {
 	t.Parallel()
 	// Figure 2: hammering an aggressor past the threshold flips bits in
 	// the adjacent victim rows.
-	b := NewBank(testConfig())
+	cfg := testConfig()
+	b := rowhammer.NewBank(cfg)
 	agg := 100
-	for i := 0; i < b.cfg.Threshold+10; i++ {
+	for i := 0; i < cfg.Threshold+10; i++ {
 		b.Activate(agg)
 	}
 	flips := b.Flips()
@@ -85,13 +102,13 @@ func TestDoubleSidedTwiceAsFast(t *testing.T) {
 	t.Parallel()
 	// Double-sided hammering needs ~half the per-aggressor activations.
 	cfg := testConfig()
-	b := NewBank(cfg)
-	p := &DoubleSided{Victim: 200}
+	b := rowhammer.NewBank(cfg)
 	acts := 0
-	for len(b.FlipsInRow(200)) == 0 && acts < 2*cfg.Threshold {
-		b.Activate(p.Next())
+	payload.DoubleSided(200, 2*cfg.Threshold).Walk(func(s payload.Step) bool {
+		b.Activate(s.Row)
 		acts++
-	}
+		return len(b.FlipsInRow(200)) == 0
+	})
 	if len(b.FlipsInRow(200)) == 0 {
 		t.Fatal("double-sided hammering produced no flips")
 	}
@@ -104,13 +121,14 @@ func TestVictimAccessResetsDisturbance(t *testing.T) {
 	t.Parallel()
 	// Accessing (activating) the victim replenishes its charge: the
 	// attack only works on untouched victims (Section II-C).
-	b := NewBank(testConfig())
+	cfg := testConfig()
+	b := rowhammer.NewBank(cfg)
 	agg, victim := 300, 301
-	for i := 0; i < b.cfg.Threshold-10; i++ {
+	for i := 0; i < cfg.Threshold-10; i++ {
 		b.Activate(agg)
 	}
 	b.Activate(victim) // victim accessed: charge restored
-	for i := 0; i < b.cfg.Threshold-10; i++ {
+	for i := 0; i < cfg.Threshold-10; i++ {
 		b.Activate(agg)
 	}
 	if len(b.FlipsInRow(victim)) != 0 {
@@ -120,13 +138,14 @@ func TestVictimAccessResetsDisturbance(t *testing.T) {
 
 func TestRefreshWindowResetsDisturbance(t *testing.T) {
 	t.Parallel()
-	b := NewBank(testConfig())
+	cfg := testConfig()
+	b := rowhammer.NewBank(cfg)
 	agg := 400
-	for i := 0; i < b.cfg.Threshold-10; i++ {
+	for i := 0; i < cfg.Threshold-10; i++ {
 		b.Activate(agg)
 	}
 	b.RefreshWindow()
-	for i := 0; i < b.cfg.Threshold-10; i++ {
+	for i := 0; i < cfg.Threshold-10; i++ {
 		b.Activate(agg)
 	}
 	if len(b.Flips()) != 0 {
@@ -136,9 +155,10 @@ func TestRefreshWindowResetsDisturbance(t *testing.T) {
 
 func TestFlipsPersistAcrossRefresh(t *testing.T) {
 	t.Parallel()
-	b := NewBank(testConfig())
+	cfg := testConfig()
+	b := rowhammer.NewBank(cfg)
 	agg := 500
-	for i := 0; i < b.cfg.Threshold+10; i++ {
+	for i := 0; i < cfg.Threshold+10; i++ {
 		b.Activate(agg)
 	}
 	n := len(b.Flips())
@@ -159,34 +179,21 @@ func TestDirectDistanceTwoInfeasible(t *testing.T) {
 	// With Weight2 = Weight1/512, a full window of pure distance-2
 	// hammering at the LPDDR4-new threshold cannot flip bits.
 	cfg := testConfig()
-	b := NewBank(cfg)
-	res := RunAttack(b, nil, &distanceTwoOnly{victim: 600}, 1)
+	b := rowhammer.NewBank(cfg)
+	distanceTwoOnly := &payload.Program{Name: "distance-2-only", Body: []payload.Instr{
+		payload.Loop{Count: windows(1) / 2, Body: []payload.Instr{payload.Act{Row: 602}, payload.Act{Row: 598}}},
+	}}
+	res := runAttack(t, b, nil, distanceTwoOnly, -1)
 	if got := res.FlipsByRow[600]; got != 0 {
 		t.Fatalf("pure distance-2 hammering flipped %d bits", got)
 	}
-}
-
-// distanceTwoOnly hammers only V±2 (no near rows at all, no mitigation to
-// convert far hammering into near refreshes).
-type distanceTwoOnly struct {
-	victim int
-	step   int
-}
-
-func (p *distanceTwoOnly) Name() string { return "distance-2-only" }
-func (p *distanceTwoOnly) Next() int {
-	p.step++
-	if p.step%2 == 0 {
-		return p.victim - 2
-	}
-	return p.victim + 2
 }
 
 func TestDataDependence(t *testing.T) {
 	t.Parallel()
 	// Only charged (1) cells flip: a victim row of all zeros cannot flip.
 	cfg := testConfig()
-	b := NewBank(cfg)
+	b := rowhammer.NewBank(cfg)
 	victim := 700
 	for line := 0; line < cfg.LinesPerRow; line++ {
 		b.WriteLine(victim, line, bits.Line{})
@@ -203,12 +210,12 @@ func TestDataDependence(t *testing.T) {
 func TestContinuedHammeringFlipsMore(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
-	b1 := NewBank(cfg)
+	b1 := rowhammer.NewBank(cfg)
 	for i := 0; i < cfg.Threshold+5; i++ {
 		b1.Activate(800)
 	}
 	few := len(b1.Flips())
-	b2 := NewBank(cfg)
+	b2 := rowhammer.NewBank(cfg)
 	for i := 0; i < 4*cfg.Threshold; i++ {
 		b2.Activate(800)
 	}
@@ -225,9 +232,9 @@ func TestContinuedHammeringFlipsMore(t *testing.T) {
 func TestPARAStopsClassicHammering(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
-	b := NewBank(cfg)
+	b := rowhammer.NewBank(cfg)
 	mit := memctrl.NewPARAPlugin(cfg.Threshold, 1)
-	res := RunAttack(b, mit, &DoubleSided{Victim: 1000}, 1)
+	res := runAttack(t, b, mit, payload.DoubleSided(1000, windows(1)), -1)
 	if res.FlipsByRow[1000] != 0 {
 		t.Fatalf("PARA failed against double-sided: %v", res)
 	}
@@ -236,9 +243,9 @@ func TestPARAStopsClassicHammering(t *testing.T) {
 func TestGrapheneStopsClassicHammering(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
-	b := NewBank(cfg)
+	b := rowhammer.NewBank(cfg)
 	mit := memctrl.NewGraphenePlugin(cfg.Threshold)
-	res := RunAttack(b, mit, &DoubleSided{Victim: 1000}, 1)
+	res := runAttack(t, b, mit, payload.DoubleSided(1000, windows(1)), -1)
 	if res.FlipsByRow[1000] != 0 {
 		t.Fatalf("Graphene failed against double-sided: %v", res)
 	}
@@ -247,9 +254,9 @@ func TestGrapheneStopsClassicHammering(t *testing.T) {
 func TestTRRStopsClassicDoubleSided(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
-	b := NewBank(cfg)
+	b := rowhammer.NewBank(cfg)
 	mit := memctrl.NewTRRPlugin(4)
-	res := RunAttack(b, mit, &DoubleSided{Victim: 1000}, 1)
+	res := runAttack(t, b, mit, payload.DoubleSided(1000, windows(1)), -1)
 	if res.FlipsByRow[1000] != 0 {
 		t.Fatalf("TRR failed against plain double-sided: %v", res)
 	}
@@ -260,10 +267,9 @@ func TestTRRespassBreaksTRR(t *testing.T) {
 	// Case-2 of Section II-E: dummy rows evict the true aggressors from
 	// TRR's small sampler, so the victim's neighbours never get refreshed.
 	cfg := testConfig()
-	b := NewBank(cfg)
+	b := rowhammer.NewBank(cfg)
 	mit := memctrl.NewTRRPlugin(4)
-	p := &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}
-	res := RunAttack(b, mit, p, 1)
+	res := runAttack(t, b, mit, payload.ManySided(1200, 12, 2000, windows(1)), -1)
 	if res.FlipsByRow[1200] == 0 {
 		t.Fatalf("TRRespass failed to break TRR: %v", res)
 	}
@@ -273,10 +279,9 @@ func TestGrapheneStopsTRRespass(t *testing.T) {
 	t.Parallel()
 	// Misra–Gries counting is immune to capacity eviction.
 	cfg := testConfig()
-	b := NewBank(cfg)
+	b := rowhammer.NewBank(cfg)
 	mit := memctrl.NewGraphenePlugin(cfg.Threshold)
-	p := &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}
-	res := RunAttack(b, mit, p, 1)
+	res := runAttack(t, b, mit, payload.ManySided(1200, 12, 2000, windows(1)), -1)
 	if res.FlipsByRow[1200] != 0 {
 		t.Fatalf("TRRespass should not break Graphene: %v", res)
 	}
@@ -302,12 +307,11 @@ func TestHalfDoubleBreaksPreciseMitigations(t *testing.T) {
 		{func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) }, 1130},
 	}
 	for _, tc := range cases {
-		b := NewBank(cfg)
+		b := rowhammer.NewBank(cfg)
 		mit := tc.mk()
-		p := &HalfDouble{Victim: 1500, NearEvery: tc.nearEvery}
 		// Figure 1b reports flip distance from the *aggressor*: the
 		// victim sits two rows from the hammered far row 1502.
-		res := RunAttackAround(b, mit, p, 1, 1502)
+		res := runAttack(t, b, mit, payload.HalfDouble(1500, tc.nearEvery, windows(1)), 1502)
 		if res.FlipsByRow[1500] == 0 {
 			t.Errorf("half-double failed against %s: %v", mit.Name(), res)
 			continue
@@ -324,9 +328,8 @@ func TestHalfDoubleNeedsMitigation(t *testing.T) {
 	// same pattern's near-row hits are far too few and distance-2
 	// coupling too weak.
 	cfg := testConfig()
-	b := NewBank(cfg)
-	p := &HalfDouble{Victim: 1500, NearEvery: 1024}
-	res := RunAttack(b, nil, p, 1)
+	b := rowhammer.NewBank(cfg)
+	res := runAttack(t, b, nil, payload.HalfDouble(1500, 1024, windows(1)), -1)
 	if res.FlipsByRow[1500] != 0 {
 		t.Fatalf("half-double without mitigation should not flip the distance-2 victim: %v", res)
 	}
@@ -342,19 +345,19 @@ func TestSafeGuardDetectsBreakthroughFlips(t *testing.T) {
 	// check every damaged line under SECDED vs SafeGuard. SafeGuard must
 	// have zero silent lines.
 	cfg := testConfig()
-	b := NewBank(cfg)
-	res := RunAttack(b, memctrl.NewTRRPlugin(4), &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}, 2)
+	b := rowhammer.NewBank(cfg)
+	res := runAttack(t, b, memctrl.NewTRRPlugin(4), payload.ManySided(1200, 12, 2000, windows(2)), -1)
 	if !res.Broke() {
 		t.Fatal("attack setup failed to produce flips")
 	}
-	sg := EvaluateDetection(b, ecc.NewSafeGuardSECDED(testKeyed()))
+	sg := rowhammer.EvaluateDetection(b, ecc.NewSafeGuardSECDED(testKeyed()))
 	if sg.Silent != 0 {
 		t.Fatalf("SafeGuard leaked %d silent lines", sg.Silent)
 	}
 	if sg.Detected+sg.Corrected != sg.LinesAttacked {
 		t.Fatalf("outcome accounting broken: %+v", sg)
 	}
-	sgck := EvaluateDetection(b, ecc.NewSafeGuardChipkill(testKeyed()))
+	sgck := rowhammer.EvaluateDetection(b, ecc.NewSafeGuardChipkill(testKeyed()))
 	if sgck.Silent != 0 {
 		t.Fatalf("SafeGuard-Chipkill leaked %d silent lines", sgck.Silent)
 	}
@@ -370,9 +373,9 @@ func TestSECDEDCanBeSilentlyCorrupted(t *testing.T) {
 	cfg.LinesPerRow = 4
 	cfg.VulnerableCellsPerRow = 256
 	cfg.FlipsPerCrossing = 32
-	b := NewBank(cfg)
-	RunAttack(b, memctrl.NewTRRPlugin(4), &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000}, 4)
-	out := EvaluateDetection(b, ecc.NewSECDED())
+	b := rowhammer.NewBank(cfg)
+	runAttack(t, b, memctrl.NewTRRPlugin(4), payload.ManySided(1200, 12, 2000, windows(4)), -1)
+	out := rowhammer.EvaluateDetection(b, ecc.NewSECDED())
 	t.Logf("SECDED under breakthrough attack: %+v", out)
 	if out.LinesAttacked == 0 {
 		t.Fatal("no attacked lines")
@@ -385,10 +388,10 @@ func TestSECDEDCanBeSilentlyCorrupted(t *testing.T) {
 func TestThresholdHistoryTable(t *testing.T) {
 	t.Parallel()
 	// Table I: pinned values and the ~30x fall from 2014 to 2020.
-	if len(ThresholdHistory) != 6 {
-		t.Fatalf("Table I has 6 rows, got %d", len(ThresholdHistory))
+	if len(rowhammer.ThresholdHistory) != 6 {
+		t.Fatalf("Table I has 6 rows, got %d", len(rowhammer.ThresholdHistory))
 	}
-	first, last := ThresholdHistory[0], ThresholdHistory[5]
+	first, last := rowhammer.ThresholdHistory[0], rowhammer.ThresholdHistory[5]
 	if first.Threshold != 139_000 || last.Threshold != 4_800 {
 		t.Fatalf("endpoint thresholds wrong: %v %v", first, last)
 	}
@@ -405,5 +408,5 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBank(Config{})
+	rowhammer.NewBank(rowhammer.Config{})
 }

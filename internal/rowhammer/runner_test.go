@@ -1,18 +1,32 @@
-package rowhammer
+package rowhammer_test
 
 import (
 	"testing"
 
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
+	"safeguard/internal/rowhammer"
 )
 
-// shifted moves every row of a pattern by k.
-type shifted struct {
-	Pattern
-	k int
+// shifted returns the program with every ACT row moved by k.
+func shifted(p *payload.Program, k int) *payload.Program {
+	var shift func([]payload.Instr) []payload.Instr
+	shift = func(body []payload.Instr) []payload.Instr {
+		out := make([]payload.Instr, len(body))
+		for i, in := range body {
+			switch v := in.(type) {
+			case payload.Act:
+				out[i] = payload.Act{Row: v.Row + k}
+			case payload.Loop:
+				out[i] = payload.Loop{Count: v.Count, Body: shift(v.Body)}
+			default:
+				out[i] = in
+			}
+		}
+		return out
+	}
+	return &payload.Program{Name: p.Name, Body: shift(p.Body)}
 }
-
-func (p *shifted) Next() int { return p.Pattern.Next() + p.k }
 
 // vrrRecorder wraps a refreshing plugin and records the victim row of
 // every VRR it issues before passing it on to the runner's sink.
@@ -33,43 +47,43 @@ func (r *vrrRecorder) EnqueueVRR(rank, bank, row int) bool {
 }
 
 // TestRunAttackShiftInvariance is a metamorphic check of the runner and
-// the refreshing mitigations: moving every pattern row by k (away from the
-// bank edges) moves every victim refresh by exactly k and leaves the
-// activation count, the refresh count and the peak disturbance unchanged.
-// Flips are not compared: each row's vulnerable cells are seeded by its
-// row id. BlockHammer is excluded for the same reason in the mitigation:
-// its counting Bloom filter hashes the row id, so which rows collide, and
-// hence which ACTs it denies, changes with the shift.
+// the refreshing mitigations: moving every ACT row of a program by k
+// (away from the bank edges) moves every victim refresh by exactly k and
+// leaves the activation count, the refresh count and the peak
+// disturbance unchanged. Flips are not compared: each row's vulnerable
+// cells are seeded by its row id. BlockHammer is excluded for the same
+// reason in the mitigation: its counting Bloom filter hashes the row id,
+// so which rows collide, and hence which ACTs it denies, changes with the
+// shift.
 func TestRunAttackShiftInvariance(t *testing.T) {
 	t.Parallel()
 	const k = 1009
 	cfg := testConfig()
 	cases := []struct {
-		name    string
-		mit     func() memctrl.Plugin
-		pattern func() Pattern
+		name string
+		mit  func() memctrl.Plugin
+		prog *payload.Program
 	}{
-		{"none", func() memctrl.Plugin { return nil },
-			func() Pattern { return &DoubleSided{Victim: 1000} }},
+		{"none", func() memctrl.Plugin { return nil }, payload.DoubleSided(1000, windows(1))},
 		{"para", func() memctrl.Plugin { return memctrl.NewPARAPlugin(cfg.Threshold, 2) },
-			func() Pattern { return &HalfDouble{Victim: 1500} }},
+			payload.HalfDouble(1500, 0, windows(1))},
 		{"trr", func() memctrl.Plugin { return memctrl.NewTRRPlugin(4) },
-			func() Pattern { return &ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000} }},
+			payload.ManySided(1200, 12, 2000, windows(1))},
 		{"graphene", func() memctrl.Plugin { return memctrl.NewGraphenePlugin(cfg.Threshold) },
-			func() Pattern { return &HalfDouble{Victim: 1500, NearEvery: 680} }},
+			payload.HalfDouble(1500, 680, windows(1))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(shift int) (AttackResult, []int, int, float64) {
-				b := NewBank(cfg)
+			run := func(shift int) (payload.AttackResult, []int, int, float64) {
+				b := rowhammer.NewBank(cfg)
 				var mit memctrl.Plugin
 				rec := &vrrRecorder{}
 				if p := tc.mit(); p != nil {
 					rec.Plugin = p
 					mit = rec
 				}
-				res := RunAttack(b, mit, &shifted{tc.pattern(), shift}, 1)
+				res := runAttack(t, b, mit, shifted(tc.prog, shift), -1)
 				row, acts := b.Peak()
 				return res, rec.rows, row, acts
 			}

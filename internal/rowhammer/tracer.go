@@ -12,7 +12,8 @@ import (
 // refresh (itself an activation — the Half-Double lever), and each rank's
 // REF cadence drives the 64ms refresh-window rotation. Attaching it to a
 // memctrl.Controller runs attacks *through* FR-FCFS scheduling, refresh
-// blackouts, and VRR timing instead of the idealized RunAttack loop.
+// blackouts, and VRR timing instead of the idealized payload.RunAttack
+// loop.
 type ActivationTracer struct {
 	cfg   Config
 	banks map[[2]int]*Bank

@@ -1,35 +1,46 @@
 package rowhammer_test
 
 import (
+	"context"
 	"testing"
 
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/rowhammer"
 )
 
-func mcCfg(mit string) rowhammer.MCAttackConfig {
-	return rowhammer.MCAttackConfig{
+// The controller-driven attack tests run a double-sided program through
+// payload.Run, which folds the controller's command stream into the
+// disturbance model with an ActivationTracer.
+
+func mcCfg(mit string) payload.RunConfig {
+	return payload.RunConfig{
 		Bank: rowhammer.Config{
 			Rows: 8192, Threshold: 1000, LinesPerRow: 16,
 			VulnerableCellsPerRow: 64, FlipsPerCrossing: 8, Seed: 7,
 		},
 		Mitigation: mit,
 		Seed:       7,
-		Accesses:   6000,
 	}
+}
+
+func runMC(t *testing.T, cfg payload.RunConfig, accesses int) payload.Result {
+	t.Helper()
+	res, err := payload.Run(context.Background(), cfg, payload.DoubleSided(4000, accesses))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestMCAttackUnmitigatedFlips(t *testing.T) {
 	t.Parallel()
-	res, err := rowhammer.RunMCAttack(mcCfg("none"), &rowhammer.DoubleSided{Victim: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMC(t, mcCfg("none"), 6000)
 	if res.TotalFlips == 0 {
 		t.Fatal("unmitigated double-sided hammering above threshold produced no flips")
 	}
-	if res.Activations < res.Accesses {
-		t.Fatalf("only %d ACTs for %d accesses; every row switch should activate", res.Activations, res.Accesses)
+	if acts := int(res.PluginStats["activation-tracer"]["acts"]); acts < res.Activations {
+		t.Fatalf("only %d ACTs for %d accesses; every row switch should activate", acts, res.Activations)
 	}
 	if res.MCStats.VRRs != 0 {
 		t.Fatalf("no mitigation attached but controller issued %d VRRs", res.MCStats.VRRs)
@@ -41,10 +52,7 @@ func TestMCAttackUnmitigatedFlips(t *testing.T) {
 
 func TestMCAttackGrapheneProtects(t *testing.T) {
 	t.Parallel()
-	res, err := rowhammer.RunMCAttack(mcCfg("graphene"), &rowhammer.DoubleSided{Victim: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMC(t, mcCfg("graphene"), 6000)
 	if res.TotalFlips != 0 {
 		t.Fatalf("Graphene let %d flips through at its design threshold", res.TotalFlips)
 	}
@@ -60,12 +68,8 @@ func TestMCAttackGrapheneProtects(t *testing.T) {
 func TestMCAttackBlockHammerStalls(t *testing.T) {
 	t.Parallel()
 	cfg := mcCfg("blockhammer")
-	cfg.Accesses = 4000
 	cfg.MaxCycles = 1_500_000
-	res, err := rowhammer.RunMCAttack(cfg, &rowhammer.DoubleSided{Victim: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMC(t, cfg, 4000)
 	if !res.Stalled {
 		t.Fatal("BlockHammer should stall a two-row hammering attacker at the cap")
 	}
@@ -79,14 +83,8 @@ func TestMCAttackBlockHammerStalls(t *testing.T) {
 
 func TestMCAttackDeterministic(t *testing.T) {
 	t.Parallel()
-	a, err := rowhammer.RunMCAttack(mcCfg("para"), &rowhammer.DoubleSided{Victim: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rowhammer.RunMCAttack(mcCfg("para"), &rowhammer.DoubleSided{Victim: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runMC(t, mcCfg("para"), 6000)
+	b := runMC(t, mcCfg("para"), 6000)
 	if a.TotalFlips != b.TotalFlips || a.Cycles != b.Cycles || a.MCStats.VRRs != b.MCStats.VRRs {
 		t.Fatalf("same seed diverged: (%d flips, %d cycles, %d VRRs) vs (%d, %d, %d)",
 			a.TotalFlips, a.Cycles, a.MCStats.VRRs, b.TotalFlips, b.Cycles, b.MCStats.VRRs)
@@ -95,16 +93,15 @@ func TestMCAttackDeterministic(t *testing.T) {
 
 func TestMCAttackRejectsUnknownMitigation(t *testing.T) {
 	t.Parallel()
-	cfg := mcCfg("definitely-not-real")
-	if _, err := rowhammer.RunMCAttack(cfg, &rowhammer.DoubleSided{Victim: 4000}); err == nil {
+	if _, err := payload.Run(context.Background(), mcCfg("definitely-not-real"), payload.DoubleSided(4000, 10)); err == nil {
 		t.Fatal("unknown mitigation must error")
 	}
 }
 
 func TestMCAttackRejectsOutOfRangePattern(t *testing.T) {
 	t.Parallel()
-	if _, err := rowhammer.RunMCAttack(mcCfg("none"), &rowhammer.DoubleSided{Victim: 9000}); err == nil {
-		t.Fatal("pattern rows beyond the bank must error")
+	if _, err := payload.Run(context.Background(), mcCfg("none"), payload.DoubleSided(9000, 10)); err == nil {
+		t.Fatal("program rows beyond the bank must error")
 	}
 }
 

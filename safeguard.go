@@ -18,8 +18,9 @@
 //     (conventional SECDED and Chipkill, both SafeGuard designs, and the
 //     SGX-/Synergy-style MAC organizations of Section VI);
 //   - a Row-Hammer bank model with the published attack patterns
-//     (double-sided, TRRespass, Half-Double) and mitigations (PARA, TRR,
-//     Graphene) for end-to-end breakthrough-plus-detection studies;
+//     (double-sided, TRRespass, Half-Double) as payload programs and
+//     mitigations (PARA, TRR, Graphene, BlockHammer) for end-to-end
+//     breakthrough-plus-detection studies;
 //   - a FaultSim-style Monte-Carlo lifetime reliability simulator with the
 //     Sridharan field fault rates (Table III);
 //   - a cycle-level performance simulator of the paper's Table II system
@@ -58,6 +59,7 @@ import (
 	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
 	"safeguard/internal/memsys"
+	"safeguard/internal/payload"
 	"safeguard/internal/response"
 	"safeguard/internal/rowhammer"
 	"safeguard/internal/sim"
@@ -307,27 +309,42 @@ type RHConfig = rowhammer.Config
 // directly over a bank model.
 type Mitigation = memctrl.Plugin
 
-// AttackPattern is an adversarial activation stream.
-type AttackPattern = rowhammer.Pattern
+// AttackProgram is an attack written in the payload/1 DSL: ACT <row>,
+// NOP <cycles> and LOOP <count> { … } instructions.
+type AttackProgram = payload.Program
 
-// The published attack patterns (Section II-E).
-type (
-	// SingleSided hammers one aggressor row.
-	SingleSided = rowhammer.SingleSided
-	// DoubleSided sandwiches the victim between two aggressors.
-	DoubleSided = rowhammer.DoubleSided
-	// ManySided is the TRRespass dummy-row pattern that evicts true
-	// aggressors from TRR's sampler.
-	ManySided = rowhammer.ManySided
-	// HalfDouble is Google's distance-two pattern that weaponizes the
-	// mitigation's own victim refreshes.
-	HalfDouble = rowhammer.HalfDouble
-)
+// ParseAttackProgram parses an attack program from its payload/1 text
+// form; AttackProgram.Encode writes it.
+func ParseAttackProgram(text string) (*AttackProgram, error) { return payload.Parse(text) }
+
+// ActsPerWindow is the activation count of one 64ms refresh window in the
+// bank-model runner; RunAttack takes programs of whole windows.
+const ActsPerWindow = memctrl.ActsPerWindow
+
+// SingleSided hammers one aggressor row: the first of the published attack
+// patterns (Section II-E), each a program of `acts` activations.
+func SingleSided(aggressor, acts int) *AttackProgram { return payload.SingleSided(aggressor, acts) }
+
+// DoubleSided sandwiches the victim between two aggressors.
+func DoubleSided(victim, acts int) *AttackProgram { return payload.DoubleSided(victim, acts) }
+
+// ManySided is the TRRespass dummy-row pattern that evicts true aggressors
+// from TRR's sampler.
+func ManySided(victim, dummies, dummyBase, acts int) *AttackProgram {
+	return payload.ManySided(victim, dummies, dummyBase, acts)
+}
+
+// HalfDouble is Google's distance-two pattern that weaponizes the
+// mitigation's own victim refreshes; one near-row hit per nearEvery
+// far-row hits (0: none).
+func HalfDouble(victim, nearEvery, acts int) *AttackProgram {
+	return payload.HalfDouble(victim, nearEvery, acts)
+}
 
 // AttackResult summarizes an attack run; DetectionOutcome classifies what a
 // protection scheme did with the flipped lines.
 type (
-	AttackResult     = rowhammer.AttackResult
+	AttackResult     = payload.AttackResult
 	DetectionOutcome = rowhammer.DetectionOutcome
 )
 
@@ -351,10 +368,11 @@ func NewBlockHammer(designThreshold int) Mitigation {
 // NoMitigation is the undefended baseline (a nil plugin).
 var NoMitigation Mitigation
 
-// RunAttack drives a pattern against a mitigated bank for whole refresh
-// windows and reports the flips.
-func RunAttack(b *Bank, mit Mitigation, p AttackPattern, windows int) rowhammer.AttackResult {
-	return rowhammer.RunAttack(b, mit, p, windows)
+// RunAttack drives an ACT-only program of whole refresh windows
+// (a multiple of ActsPerWindow activations) against a mitigated bank and
+// reports the flips.
+func RunAttack(b *Bank, mit Mitigation, p *AttackProgram) (AttackResult, error) {
+	return payload.RunAttack(b, mit, p)
 }
 
 // EvaluateDetection replays an attack's flipped lines through a protection
@@ -469,22 +487,18 @@ func NewActivationTracer(cfg RHConfig) *ActivationTracer {
 	return rowhammer.NewActivationTracer(cfg)
 }
 
-// MCAttackConfig/MCAttackResult parameterize and report controller-driven
+// ProgramRunConfig/ProgramResult parameterize and report controller-driven
 // attack runs.
 type (
-	MCAttackConfig = rowhammer.MCAttackConfig
-	MCAttackResult = rowhammer.MCAttackResult
+	ProgramRunConfig = payload.RunConfig
+	ProgramResult    = payload.Result
 )
 
-// RunMCAttack drives a pattern through the cycle-level controller with a
-// registry-named mitigation plugin attached.
-func RunMCAttack(cfg MCAttackConfig, p AttackPattern) (MCAttackResult, error) {
-	return rowhammer.RunMCAttack(cfg, p)
-}
-
-// RunMCAttackContext is RunMCAttack with cancellation.
-func RunMCAttackContext(ctx context.Context, cfg MCAttackConfig, p AttackPattern) (MCAttackResult, error) {
-	return rowhammer.RunMCAttackContext(ctx, cfg, p)
+// RunProgram drives an attack program through the cycle-level controller
+// with a registry-named mitigation plugin attached. On ctx cancellation
+// the partial result returns with the context's error.
+func RunProgram(ctx context.Context, cfg ProgramRunConfig, p *AttackProgram) (ProgramResult, error) {
+	return payload.Run(ctx, cfg, p)
 }
 
 // ResponseAttackConfig/ResponseAttackResult parameterize and report
@@ -492,13 +506,14 @@ func RunMCAttackContext(ctx context.Context, cfg MCAttackConfig, p AttackPattern
 // controller while the DUE response pipeline escalates retry → scrub →
 // retirement → quarantine.
 type (
-	ResponseAttackConfig = rowhammer.ResponseAttackConfig
-	ResponseAttackResult = rowhammer.ResponseAttackResult
+	ResponseAttackConfig = payload.ResponseAttackConfig
+	ResponseAttackResult = payload.ResponseAttackResult
 )
 
-// RunResponseAttack drives a pattern against the full response pipeline.
-func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, p AttackPattern) (*ResponseAttackResult, error) {
-	return rowhammer.RunResponseAttack(ctx, cfg, p)
+// RunResponseAttack drives an ACT-only program against the full response
+// pipeline.
+func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, p *AttackProgram) (*ResponseAttackResult, error) {
+	return payload.RunResponseAttack(ctx, cfg, p)
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package safeguard_test
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"safeguard"
@@ -52,9 +53,15 @@ func TestPublicAttackDetectionFlow(t *testing.T) {
 	cfg.Rows = 4096
 	cfg.Seed = 11
 	bank := safeguard.NewBank(cfg)
-	// TRRespass pattern breaks TRR...
-	res := safeguard.RunAttack(bank, safeguard.NewTRR(4),
-		&attackManySided{victim: 1200}, 1)
+	// A TRRespass program written in the DSL's text form breaks TRR...
+	prog, err := safeguard.ParseAttackProgram(customManySided(1200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := safeguard.RunAttack(bank, safeguard.NewTRR(4), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Broke() {
 		t.Fatal("attack should break TRR")
 	}
@@ -65,29 +72,22 @@ func TestPublicAttackDetectionFlow(t *testing.T) {
 	}
 }
 
-// attackManySided adapts the internal TRRespass pattern via the public
-// interface to demonstrate custom patterns compile against it.
-type attackManySided struct {
-	victim int
-	step   int
-}
-
-func (p *attackManySided) Name() string { return "custom-many-sided" }
-func (p *attackManySided) Next() int {
-	const dummies = 12
-	cycle := 2 + 2*dummies
-	i := p.step % cycle
-	p.step++
-	switch {
-	case i == 0:
-		return p.victim - 1
-	case i == dummies+1:
-		return p.victim + 1
-	case i <= dummies:
-		return 3000 + 8*(i-1)
-	default:
-		return 3000 + 8*(i-dummies-2)
+// customManySided writes one refresh window of a TRRespass-style attack
+// in the payload/1 text form, to show custom attacks enter through the
+// public surface: the aggressor pair around the victim, each followed by
+// a burst of 16 decoy rows.
+func customManySided(victim int) string {
+	const decoys = 16
+	var b strings.Builder
+	fmt.Fprintf(&b, "payload/1 custom-many-sided\nLOOP %d {\n", safeguard.ActsPerWindow/(2+2*decoys))
+	for _, aggressor := range []int{victim - 1, victim + 1} {
+		fmt.Fprintf(&b, "  ACT %d\n", aggressor)
+		for d := 0; d < decoys; d++ {
+			fmt.Fprintf(&b, "  ACT %d\n", 3000+8*d)
+		}
 	}
+	b.WriteString("}\n")
+	return b.String()
 }
 
 func TestPublicReliabilityAndAnalysis(t *testing.T) {
@@ -213,7 +213,10 @@ func TestPublicBlockHammer(t *testing.T) {
 	cfg.Rows = 4096
 	bank := safeguard.NewBank(cfg)
 	bh := safeguard.NewBlockHammer(cfg.Threshold)
-	res := safeguard.RunAttack(bank, bh, &safeguard.DoubleSided{Victim: 1000}, 1)
+	res, err := safeguard.RunAttack(bank, bh, safeguard.DoubleSided(1000, safeguard.ActsPerWindow))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.TotalFlips != 0 {
 		t.Fatal("BlockHammer should stop double-sided hammering")
 	}
