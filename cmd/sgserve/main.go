@@ -16,7 +16,7 @@
 //	                           while no workers are live)
 //	POST /v1/fleet/...         worker lease protocol (-fleet only)
 //	GET  /metrics              Prometheus text exposition
-//	GET  /stats, /debug/...    telemetry (expvar, pprof)
+//	GET  /stats, /debug/pprof/ telemetry (JSON snapshot, pprof)
 //
 // With -fleet the service becomes a coordinator: jobs are leased to
 // sgworker processes, results are verified against the request hash

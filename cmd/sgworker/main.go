@@ -10,7 +10,7 @@
 //	sgworker -coordinator http://coord:8080 -http :9100
 //
 // -http exposes the worker's own telemetry surface (/metrics Prometheus
-// exposition, /stats JSON, /debug pprof+expvar) — the per-process view
+// exposition, /stats JSON, /debug/pprof) — the per-process view
 // that complements the coordinator's fleet-wide aggregate.
 //
 // SIGTERM/SIGINT stops polling and exits; a job in flight at that

@@ -47,7 +47,7 @@ func Telemetry() *TelemetryFlags {
 	tf := &TelemetryFlags{}
 	flag.StringVar(&tf.stats, "stats", "", `print run telemetry on exit: "text" or "json"`)
 	flag.StringVar(&tf.trace, "trace", "", "write the cycle-stamped event trace to this file")
-	flag.StringVar(&tf.httpAddr, "http", "", "serve /stats, /debug/vars and /debug/pprof on this address (e.g. localhost:8080)")
+	flag.StringVar(&tf.httpAddr, "http", "", "serve /stats, /metrics and /debug/pprof on this address (e.g. localhost:8080)")
 	return tf
 }
 

@@ -22,7 +22,7 @@ import (
 //	GET  /healthz              liveness (200 while the process serves at all)
 //	GET  /readyz               readiness (503 while draining or degraded)
 //	GET  /metrics              Prometheus text exposition of the registry
-//	/stats, /debug/...         the telemetry surface (expvar, pprof)
+//	/stats, /debug/pprof/      the telemetry surface (JSON snapshot, pprof)
 //
 // Submissions answered from the cache return 200 with the job view;
 // accepted jobs return 202 with a Location header for polling. A full

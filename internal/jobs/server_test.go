@@ -239,7 +239,7 @@ func TestServerResultEndpoint(t *testing.T) {
 func TestServerHealthAndTelemetrySurface(t *testing.T) {
 	t.Parallel()
 	ts, _ := newTestServer(t, Config{Runner: okRunner(nil)})
-	for _, path := range []string{"/healthz", "/readyz", "/stats", "/debug/vars"} {
+	for _, path := range []string{"/healthz", "/readyz", "/stats"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

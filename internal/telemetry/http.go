@@ -1,89 +1,20 @@
-// Opt-in HTTP observability for long sweeps: an expvar endpoint exposing
-// the registry's live snapshot, a Prometheus /metrics exposition, plus
-// the standard pprof profiles, on a loopback (or operator-chosen)
+// Opt-in HTTP observability for long sweeps: the registry's live
+// snapshot as JSON (/stats) and as a Prometheus exposition (/metrics),
+// plus the standard pprof profiles, on a loopback (or operator-chosen)
 // address. Nothing here runs unless a cmd passes -http (or a server
 // mounts the handler); the simulation hot paths never touch this file.
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"sync"
 )
-
-// expvarOnce guards the process-global expvar name: expvar.Publish
-// panics on duplicates, and tests may start several servers. The
-// published func reads expvarSnap, which each Handler call swaps a
-// closure into — so the *global* expvar surface (expvar.Do, a plain
-// expvar.Handler elsewhere in the process) reports the most recent
-// handler's registry. That last-wins global is unavoidable with expvar's
-// process-wide namespace; what each Handler's own /debug/vars reports is
-// NOT last-wins — see scopedExpvars.
-var (
-	expvarOnce sync.Once
-	expvarMu   sync.Mutex
-	expvarSnap func() Snapshot
-)
-
-// expvarName is the registry's key in the expvar namespace.
-const expvarName = "safeguard"
-
-func publishExpvar(reg *Registry) {
-	expvarMu.Lock()
-	expvarSnap = reg.Snapshot
-	expvarMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish(expvarName, expvar.Func(func() any {
-			expvarMu.Lock()
-			snap := expvarSnap
-			expvarMu.Unlock()
-			return snap()
-		}))
-	})
-}
-
-// scopedExpvars renders the expvar page with this handler's registry
-// substituted under the "safeguard" key. Two servers in one process
-// (sgserve -fleet embeds the coordinator next to the job API; tests
-// start several stacks) each report their own registry rather than
-// whichever one called Handler last — the footgun the raw
-// expvar.Handler had here.
-func scopedExpvars(reg *Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		type kv struct{ key, val string }
-		var vars []kv
-		expvar.Do(func(v expvar.KeyValue) {
-			if v.Key == expvarName {
-				return // replaced below with this handler's registry
-			}
-			vars = append(vars, kv{v.Key, v.Value.String()})
-		})
-		own, err := json.Marshal(reg.Snapshot())
-		if err == nil {
-			vars = append(vars, kv{expvarName, string(own)})
-		}
-		sort.Slice(vars, func(i, j int) bool { return vars[i].key < vars[j].key })
-		fmt.Fprintf(w, "{\n")
-		for i, v := range vars {
-			if i > 0 {
-				fmt.Fprintf(w, ",\n")
-			}
-			fmt.Fprintf(w, "%q: %s", v.key, v.val)
-		}
-		fmt.Fprintf(w, "\n}\n")
-	}
-}
 
 // Handler returns the observability mux by itself, for embedding into a
 // larger server (sgserve mounts it next to its job API):
 //
-//	/debug/vars    expvar (this handler's registry under "safeguard")
 //	/debug/pprof/  the standard pprof handlers
 //	/stats         the registry's deterministic JSON snapshot
 //	/metrics       the Prometheus text exposition of the same snapshot
@@ -92,9 +23,7 @@ func scopedExpvars(reg *Registry) http.HandlerFunc {
 // snapshot. Each returned handler is scoped to the registry it was built
 // with — two handlers in one process report their own registries.
 func Handler(reg *Registry) http.Handler {
-	publishExpvar(reg)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/vars", scopedExpvars(reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

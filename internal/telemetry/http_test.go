@@ -85,8 +85,8 @@ func TestServeHTTP(t *testing.T) {
 	if snap.Counters["served"] != 9 {
 		t.Fatalf("/stats counters = %+v", snap.Counters)
 	}
-	if !strings.Contains(get("/debug/vars"), `"safeguard"`) {
-		t.Fatal("/debug/vars missing the safeguard expvar")
+	if !strings.Contains(get("/metrics"), "sg_served_total 9") {
+		t.Fatal("/metrics missing the served counter")
 	}
 	if !strings.Contains(get("/debug/pprof/"), "profile") {
 		t.Fatal("/debug/pprof/ index missing")
@@ -101,42 +101,51 @@ func TestServeHTTPBadAddr(t *testing.T) {
 }
 
 // Two handlers in one process must each report their own registry on
-// /debug/vars — the last-ServeHTTP-wins footgun the process-global
-// expvar had. sgserve -fleet is exactly this shape: the job API and the
-// coordinator telemetry surfaces coexist.
-func TestHandlerExpvarScopedPerRegistry(t *testing.T) {
+// /stats and /metrics. sgserve -fleet is exactly this shape: the job API
+// and the coordinator telemetry surfaces coexist.
+func TestHandlerScopedPerRegistry(t *testing.T) {
 	regA := NewRegistry()
 	regA.Counter("scoped.a").Add(1)
 	regB := NewRegistry()
 	regB.Counter("scoped.b").Add(2)
 
-	// Build A first, then B: under the old global, A's /debug/vars would
-	// now report B's registry.
 	tsA := httptest.NewServer(Handler(regA))
 	defer tsA.Close()
 	tsB := httptest.NewServer(Handler(regB))
 	defer tsB.Close()
 
-	read := func(url string) Snapshot {
-		resp, err := http.Get(url + "/debug/vars")
+	get := func(url string) string {
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var vars struct {
-			Safeguard Snapshot `json:"safeguard"`
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-			t.Fatalf("/debug/vars not JSON: %v", err)
-		}
-		return vars.Safeguard
+		return string(body)
 	}
-	a, b := read(tsA.URL), read(tsB.URL)
+	stats := func(url string) Snapshot {
+		var snap Snapshot
+		if err := json.Unmarshal([]byte(get(url+"/stats")), &snap); err != nil {
+			t.Fatalf("/stats not JSON: %v", err)
+		}
+		return snap
+	}
+	a, b := stats(tsA.URL), stats(tsB.URL)
 	if a.Counters["scoped.a"] != 1 || a.Counters["scoped.b"] != 0 {
-		t.Fatalf("handler A reports the wrong registry: %+v", a.Counters)
+		t.Fatalf("handler A's /stats reports the wrong registry: %+v", a.Counters)
 	}
 	if b.Counters["scoped.b"] != 2 || b.Counters["scoped.a"] != 0 {
-		t.Fatalf("handler B reports the wrong registry: %+v", b.Counters)
+		t.Fatalf("handler B's /stats reports the wrong registry: %+v", b.Counters)
+	}
+	ma, mb := get(tsA.URL+"/metrics"), get(tsB.URL+"/metrics")
+	if !strings.Contains(ma, "sg_scoped_a_total 1") || strings.Contains(ma, "sg_scoped_b_total") {
+		t.Fatalf("handler A's /metrics reports the wrong registry:\n%s", ma)
+	}
+	if !strings.Contains(mb, "sg_scoped_b_total 2") || strings.Contains(mb, "sg_scoped_a_total") {
+		t.Fatalf("handler B's /metrics reports the wrong registry:\n%s", mb)
 	}
 }
 
@@ -185,37 +194,5 @@ func TestHandlerMetricsEndpoint(t *testing.T) {
 	}
 	if string(body) != string(body2) {
 		t.Fatal("/metrics body changed between identical snapshots")
-	}
-}
-
-// The "safeguard" expvar is the registry's full snapshot, decodable from
-// /debug/vars like any expvar — the contract external scrapers rely on.
-func TestExpvarSnapshotJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("expvar.reads").Add(3)
-	reg.Gauge("expvar.depth").Set(1.5)
-	addr, shutdown, err := ServeHTTP("127.0.0.1:0", reg)
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	defer func() { _ = shutdown() }()
-
-	cl := &http.Client{Timeout: 5 * time.Second}
-	resp, err := cl.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars struct {
-		Safeguard Snapshot `json:"safeguard"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if vars.Safeguard.Counters["expvar.reads"] != 3 {
-		t.Fatalf("expvar counters = %+v", vars.Safeguard.Counters)
-	}
-	if vars.Safeguard.Gauges["expvar.depth"] != 1.5 {
-		t.Fatalf("expvar gauges = %+v", vars.Safeguard.Gauges)
 	}
 }
