@@ -109,7 +109,7 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/ecc:FuzzSGXStyleMACDecode ./internal/ecc:FuzzSynergyStyleMACDecode \
 	./internal/memctrl:FuzzEngineEquivalence \
 	./internal/snapshot:FuzzSnapshotRoundTrip ./internal/snapshot:FuzzSnapshotReader \
-	./internal/payload:FuzzPayloadParse
+	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -237,10 +237,11 @@ fleet-chaos:
 # reports from, jobs/resultcache are the sgserve correctness core
 # (queueing, dedup, drain, cache identity), fleet is the distributed
 # lease/recovery protocol, snapshot is the sgsnap/1 checkpoint codec
-# every resume path trusts, payload/synth are the attack-synthesis
-# engine whose matrix artifacts the nightly security gate reads, and
-# rowhammer is the bank model and attack runner behind Figure 1b and the
-# BlockHammer study, so regressions there must not land untested.
+# every resume path trusts, payload/synth are the attack programs, their
+# runners and the synthesis engine whose matrix artifacts the nightly
+# security gate reads, and rowhammer is the disturbance model behind
+# Figure 1b and the BlockHammer study, so regressions there must not land
+# untested.
 COVER_GATE_PKGS := ./internal/telemetry ./internal/response ./internal/attrib \
 	./internal/jobs ./internal/resultcache ./internal/fleet ./internal/snapshot \
 	./internal/payload ./internal/synth ./internal/rowhammer

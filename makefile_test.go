@@ -120,6 +120,7 @@ func TestMakeFuzzTargetsPackageQualified(t *testing.T) {
 		"./internal/snapshot:FuzzSnapshotRoundTrip",
 		"./internal/snapshot:FuzzSnapshotReader",
 		"./internal/payload:FuzzPayloadParse",
+		"./internal/synth:FuzzParseMatrix",
 	} {
 		if !strings.Contains(mf, want) {
 			t.Errorf("FUZZ_TARGETS missing %q", want)
