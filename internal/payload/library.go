@@ -40,10 +40,10 @@ func ManySided(victim, dummies, dummyBase, acts int) *Program {
 // lightly. The mitigation sees the far rows as aggressors and keeps
 // refreshing the near rows, and each of those refreshes is an
 // activation at distance 1 from the victim. With nearEvery > 0 the
-// period is 2×nearEvery far-row slots, of which slot nearEvery/2 hits
-// victim-1 and slot nearEvery+nearEvery/2 hits victim+1; nearEvery = 0
-// never touches the near rows and relies purely on mitigation
-// refreshes.
+// period is 2×nearEvery slots alternating victim-2 and victim+2, except
+// that slot nearEvery/2 hits victim-1 and slot nearEvery+nearEvery/2
+// hits victim+1; nearEvery = 0 never touches the near rows and relies
+// purely on mitigation refreshes.
 func HalfDouble(victim, nearEvery, acts int) *Program {
 	period := 2
 	if nearEvery > 0 {

@@ -335,8 +335,8 @@ func ManySided(victim, dummies, dummyBase, acts int) *AttackProgram {
 }
 
 // HalfDouble is Google's distance-two pattern that weaponizes the
-// mitigation's own victim refreshes; one near-row hit per nearEvery
-// far-row hits (0: none).
+// mitigation's own victim refreshes; it touches a near row once every
+// nearEvery activations (0: never).
 func HalfDouble(victim, nearEvery, acts int) *AttackProgram {
 	return payload.HalfDouble(victim, nearEvery, acts)
 }
