@@ -109,7 +109,8 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/ecc:FuzzSGXStyleMACDecode ./internal/ecc:FuzzSynergyStyleMACDecode \
 	./internal/memctrl:FuzzEngineEquivalence \
 	./internal/snapshot:FuzzSnapshotRoundTrip ./internal/snapshot:FuzzSnapshotReader \
-	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix
+	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix \
+	./internal/telemetry:FuzzParseEvent ./internal/telemetry:FuzzReadTraceFile
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -240,11 +241,13 @@ fleet-chaos:
 # every resume path trusts, payload/synth are the attack programs, their
 # runners and the synthesis engine whose matrix artifacts the nightly
 # security gate reads, and rowhammer is the disturbance model behind
-# Figure 1b and the BlockHammer study, so regressions there must not land
-# untested.
+# Figure 1b and the BlockHammer study, and sim is the timing model behind
+# every slowdown figure (its coverage includes the per-cycle reference
+# loop the skip-ahead proofs compare against), so regressions there must
+# not land untested.
 COVER_GATE_PKGS := ./internal/telemetry ./internal/response ./internal/attrib \
 	./internal/jobs ./internal/resultcache ./internal/fleet ./internal/snapshot \
-	./internal/payload ./internal/synth ./internal/rowhammer
+	./internal/payload ./internal/synth ./internal/rowhammer ./internal/sim
 COVER_GATE_MIN  := 85
 cover:
 	@$(GO) test -cover $(COVER_GATE_PKGS) | awk -v min=$(COVER_GATE_MIN) ' \

@@ -532,58 +532,6 @@ func BenchmarkAblationScheduler(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: skip-ahead vs per-cycle simulation loop
-// ---------------------------------------------------------------------------
-
-func BenchmarkEngineIdleHeavy(b *testing.B) {
-	// The idle-heavy extreme: a single core running a pure pointer chase
-	// (every load depends on the previous one and misses to DRAM — the
-	// lat_mem_rd pattern). One request is in flight at a time, so the
-	// core sits ROB-full and the controller sits between events for ~98%
-	// of cycles, in ~50-cycle spans — exactly what the event engine's
-	// time wheel skips. The two engines produce bit-identical results
-	// (engine_ab_test.go); this benchmark measures the wall-clock win,
-	// surfaced by bench2json as the cycle/event ns/op ratio.
-	p := workload.Params{Name: "pchase", LoadFrac: 0.30, StoreFrac: 0.02,
-		ChaseFrac: 1.0, ColdWS: 1 << 21, HotWS: 1 << 9, StreamWS: 1 << 10, StoreWS: 1 << 10}
-	ipc := map[string]float64{}
-	for _, engine := range sim.EngineNames() {
-		engine := engine
-		b.Run(engine, func(b *testing.B) {
-			var simulated int64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig()
-				cfg.Cores = 1
-				cfg.PrefetchDegree = 0
-				cfg.Workload = p
-				cfg.WarmupInstr = 10_000
-				cfg.InstrPerCore = 40_000
-				cfg.Engine = engine
-				res, err := sim.NewSystem(cfg).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc[engine] = res.HarmonicMeanIPC()
-				simulated = 0
-				for _, c := range res.CoreCycles {
-					simulated += c
-				}
-			}
-			b.ReportMetric(ipc[engine], "ipc")
-			b.ReportMetric(float64(simulated)/float64(b.Elapsed().Nanoseconds()/int64(b.N)),
-				"simcycles_per_ns")
-		})
-	}
-	once("engine-idleheavy", func() {
-		fmt.Printf("\nEngine: pchase harmonic-mean IPC — cycle %.4f, event %.4f (must match)\n",
-			ipc["cycle"], ipc["event"])
-	})
-	if ipc["cycle"] != ipc["event"] {
-		b.Fatalf("engines disagree on IPC: cycle %v event %v", ipc["cycle"], ipc["event"])
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Extension benches: CRC strawman, ECCploit, BlockHammer, scrubbing
 // ---------------------------------------------------------------------------
 

@@ -55,7 +55,6 @@ func main() {
 		mitigation = flag.String("mitigation", "", "in-controller Row-Hammer mitigation attached to every run")
 		threshold  = flag.Int("threshold", 0, "RH-Threshold sizing the mitigation (0 = Table I default)")
 		attribCPI  = flag.Bool("attrib", false, "attribute every cycle to a cause and print per-scheme CPI stacks after the figures")
-		engine     = flag.String("engine", "", "simulation loop: event (default, skip-ahead) or cycle (legacy per-cycle)")
 		listNames  = flag.Bool("list-names", false, "print the scheme and mitigation registries and exit")
 	)
 	tf := cliflags.Telemetry()
@@ -79,9 +78,6 @@ func main() {
 	}
 	customSchemes, err := cliflags.ParseSchemeList(*schemes)
 	if err != nil {
-		cliflags.Fail(err)
-	}
-	if _, err := sim.ParseEngine(*engine); err != nil {
 		cliflags.Fail(err)
 	}
 	effTh := *threshold
@@ -116,7 +112,6 @@ func main() {
 	}
 	cfg.Mitigation = *mitigation
 	cfg.RHThreshold = *threshold
-	cfg.Engine = *engine
 	if err := tf.Activate(); err != nil {
 		cliflags.Fail(err)
 	}

@@ -34,7 +34,6 @@ import (
 	"safeguard/internal/experiments"
 	"safeguard/internal/memctrl"
 	"safeguard/internal/resultcache"
-	"safeguard/internal/sim"
 	"safeguard/internal/telemetry"
 )
 
@@ -59,7 +58,6 @@ func main() {
 		decode     = flag.Int64("decode", 0, "on-critical-path ECC-decode latency in CPU cycles")
 		mitigation = flag.String("mitigation", "", "in-controller Row-Hammer mitigation attached to -run")
 		threshold  = flag.Int("threshold", 0, "RH-Threshold sizing the mitigation (0 = Table I default)")
-		engine     = flag.String("engine", "", "simulation loop for -run: event (default) or cycle")
 	)
 	tf := cliflags.Telemetry()
 	sf := cliflags.Snapshot()
@@ -77,9 +75,6 @@ func main() {
 	case "text", "json":
 	default:
 		cliflags.Fail(fmt.Errorf(`-report must be "text" or "json" (got %q)`, *format))
-	}
-	if _, err := sim.ParseEngine(*engine); err != nil {
-		cliflags.Fail(err)
 	}
 	if err := sf.Validate(); err != nil {
 		cliflags.Fail(err)
@@ -104,7 +99,6 @@ func main() {
 			RHThreshold:   *threshold,
 			Telemetry:     tf.Registry,
 			Trace:         tf.Tracer,
-			Engine:        *engine,
 		}
 		if sf.Enabled() {
 			store, err := resultcache.New(resultcache.Options{Dir: sf.Dir, Telemetry: tf.Registry})

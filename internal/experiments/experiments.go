@@ -60,10 +60,6 @@ type PerfConfig struct {
 	// land in Telemetry as attrib.cpi.* counters (commutative, so sweep
 	// totals are worker-count independent).
 	Attrib bool
-	// Engine selects the simulation loop for every run (sim.Config.Engine):
-	// "" or "event" for the skip-ahead engine, "cycle" for the legacy
-	// per-cycle loop. Results are bit-identical either way.
-	Engine string
 	// WarmPool, when set, warm-starts every run from a pooled post-warm-up
 	// snapshot (WarmKey cell): hits skip the warm-up phase entirely,
 	// misses run cold and deposit their capture. Results stay bit-identical
@@ -197,7 +193,6 @@ func runPerf(ctx context.Context, cfg PerfConfig, schemes []sim.Scheme) (PerfRes
 				sc.Mitigation = cfg.Mitigation
 				sc.RHThreshold = cfg.RHThreshold
 				sc.Attrib = cfg.Attrib
-				sc.Engine = cfg.Engine
 				if cfg.Telemetry != nil {
 					sc.Telemetry = telemetry.NewRegistry()
 				}

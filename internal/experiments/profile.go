@@ -47,8 +47,6 @@ type ProfileConfig struct {
 	Telemetry *telemetry.Registry
 	// Trace, when set, receives every run's controller command events.
 	Trace *telemetry.Tracer
-	// Engine selects the simulation loop (sim.Config.Engine).
-	Engine string
 	// WarmPool, when set, warm-starts every run from a pooled
 	// post-warm-up snapshot (see PerfConfig.WarmPool); stacks are
 	// bit-identical either way. Ignored when Trace is set.
@@ -152,7 +150,6 @@ func Profile(ctx context.Context, cfg ProfileConfig) (ProfileResult, error) {
 				sc.Mitigation = cfg.Mitigation
 				sc.RHThreshold = cfg.RHThreshold
 				sc.Attrib = true
-				sc.Engine = cfg.Engine
 				if cfg.Telemetry != nil {
 					sc.Telemetry = telemetry.NewRegistry()
 				}

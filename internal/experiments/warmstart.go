@@ -18,10 +18,9 @@ import (
 
 // WarmKey identifies the simulator state at the warm-up capture point:
 // every sim.Config axis that can influence a cycle before measurement
-// starts. InstrPerCore and Engine are deliberately absent — the measured
-// budget is the axis the pool amortizes across, and snapshots are
-// engine-independent. Telemetry/Trace presence is included because it
-// changes the snapshot's contents.
+// starts. InstrPerCore is deliberately absent — the measured budget is
+// the axis the pool amortizes across. Telemetry/Trace presence is
+// included because it changes the snapshot's contents.
 type WarmKey struct {
 	Workload       string `json:"workload"`
 	Scheme         string `json:"scheme"`

@@ -169,8 +169,6 @@ type Controller struct {
 
 	plugins []Plugin
 	gates   []ActGate
-	tickers []Ticker
-	spanObs []SpanObserver
 	vrrQ    []vrrReq
 
 	// Row-retirement state (ReserveSpareRows / RetireRow).
@@ -357,7 +355,7 @@ func (c *Controller) ReadStallClass(lineAddr uint64) attrib.Component {
 // write-forwarded) are in DRAM service by definition. Called from
 // attribution probes on stalled CPU cycles — a linear scan of a
 // ≤64-entry queue, no allocation. Taking the cycle explicitly lets the
-// event engine replay skipped stall cycles without stepping the
+// skip-ahead loop replay skipped stall cycles without stepping the
 // controller clock: queue membership, refreshUntil, the VRR queue, and
 // lastDenied are all frozen across a skipped span, so only the probe
 // time varies.
@@ -400,9 +398,6 @@ func (c *Controller) Idle() bool {
 // refreshes take the command slot ahead of normal traffic.
 func (c *Controller) Tick() {
 	c.now++
-	for _, t := range c.tickers {
-		t.OnTick(c.now)
-	}
 	c.fireCompletions()
 	c.refresh()
 	if len(c.vrrQ) > 0 && c.issueVRR() {

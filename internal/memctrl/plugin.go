@@ -61,28 +61,6 @@ type Plugin interface {
 	DrainStats() PluginStats
 }
 
-// Ticker is the optional per-cycle hook. None of the production
-// mitigations need it — they are command-driven — so it lives outside
-// Plugin: the dispatch loop pays for it only when a plugin actually
-// implements it, and a controller with any Ticker attached reports every
-// next cycle as an event (NextEventAt), disabling skip-ahead.
-type Ticker interface {
-	// OnTick fires once per controller cycle, before command issue.
-	OnTick(cycle int64)
-}
-
-// SpanObserver is the skip-ahead counterpart of Ticker: when the
-// controller jumps over a provably idle stretch via AdvanceTo, observers
-// are told the span once instead of being ticked through it. Span
-// notifications are an engine detail — they must not feed DrainStats,
-// which is compared bit-for-bit between the cycle and event engines.
-type SpanObserver interface {
-	// OnSpan fires after the controller clock jumped from cycle `from`
-	// to cycle `to` with no command, completion, or refresh activity in
-	// (from, to].
-	OnSpan(from, to int64)
-}
-
 // VRRSink accepts victim-row refresh requests from plugins. The
 // Controller implements it; EnqueueVRR reports false when the request was
 // dropped (queue full or row out of range).
@@ -127,12 +105,6 @@ func (c *Controller) AttachPlugin(p Plugin) {
 	}
 	if g, ok := p.(ActGate); ok {
 		c.gates = append(c.gates, g)
-	}
-	if tk, ok := p.(Ticker); ok {
-		c.tickers = append(c.tickers, tk)
-	}
-	if so, ok := p.(SpanObserver); ok {
-		c.spanObs = append(c.spanObs, so)
 	}
 }
 

@@ -10,21 +10,15 @@ import (
 // recorder logs every dispatched command with a plugin identity, so
 // dispatch-order tests can interleave multiple instances.
 type recorder struct {
-	id    string
-	log   *[]string
-	ticks int64
+	id  string
+	log *[]string
 }
 
 func (r *recorder) Name() string { return "recorder-" + r.id }
 func (r *recorder) OnCommand(cmd Command, rank, bank, row int, cycle int64) {
 	*r.log = append(*r.log, fmt.Sprintf("%s:%v@%d,%d,%d", r.id, cmd, rank, bank, row))
 }
-func (r *recorder) OnTick(int64) { r.ticks++ }
-func (r *recorder) DrainStats() PluginStats {
-	s := PluginStats{"ticks": float64(r.ticks)}
-	r.ticks = 0
-	return s
-}
+func (r *recorder) DrainStats() PluginStats { return nil }
 
 func newPluggedController() *Controller {
 	return New(dram.Table2Geometry, dram.DDR4_3200())
@@ -114,77 +108,6 @@ func TestPluginSeesWritesAndRefreshes(t *testing.T) {
 	}
 	if refs == 0 {
 		t.Fatal("no REF dispatched within one tREFI")
-	}
-}
-
-// TestTickerSeesEveryCycle: a plugin that opts into the Ticker interface
-// still gets one OnTick per controller cycle, and its presence pins
-// NextEventAt to now+1 so AdvanceTo can never jump it past a tick.
-func TestTickerSeesEveryCycle(t *testing.T) {
-	t.Parallel()
-	c := newPluggedController()
-	var log []string
-	r := &recorder{id: "A", log: &log}
-	c.AttachPlugin(r)
-	for i := 0; i < 100; i++ {
-		if got := c.NextEventAt(); got != c.Now()+1 {
-			t.Fatalf("NextEventAt = %d with a Ticker attached at cycle %d, want %d", got, c.Now(), c.Now()+1)
-		}
-		c.Tick()
-	}
-	if got := r.DrainStats()["ticks"]; got != 100 {
-		t.Fatalf("OnTick fired %v times in 100 cycles", got)
-	}
-	if got := r.DrainStats()["ticks"]; got != 0 {
-		t.Fatalf("DrainStats must reset counters, second drain saw %v", got)
-	}
-}
-
-// spanRecorder observes skipped spans only — no Ticker implementation —
-// so a controller driven by the event engine reports idle stretches to
-// it wholesale.
-type spanRecorder struct {
-	spans  int
-	cycles int64
-}
-
-func (s *spanRecorder) Name() string                            { return "span-recorder" }
-func (s *spanRecorder) OnCommand(Command, int, int, int, int64) {}
-func (s *spanRecorder) DrainStats() PluginStats                 { return nil }
-func (s *spanRecorder) OnSpan(from, to int64)                   { s.spans++; s.cycles += to - from }
-
-// TestSpanCoverage drives the controller with a mix of per-cycle ticks
-// and NextEventAt-guided skips: every controller cycle must be covered
-// exactly once, either by a Tick or by a span, so ticked + spanned
-// cycles always equals Now().
-func TestSpanCoverage(t *testing.T) {
-	t.Parallel()
-	c := newPluggedController()
-	sr := &spanRecorder{}
-	c.AttachPlugin(sr)
-	m := dram.NewMapper(dram.Table2Geometry)
-	var ticked int64
-	tick := func() { c.Tick(); ticked++ }
-	done := 0
-	c.EnqueueRead(m.Encode(dram.Coord{Rank: 0, Bank: 1, Row: 11, Col: 0}), func(int64) { done++ })
-	for i := 0; i < 5000; i++ {
-		if next := c.NextEventAt(); next > c.Now()+1 {
-			c.AdvanceTo(next - 1)
-		}
-		tick()
-		if i == 2000 {
-			c.EnqueueRead(m.Encode(dram.Coord{Rank: 1, Bank: 2, Row: 3, Col: 0}), func(int64) { done++ })
-		}
-	}
-	if done != 2 {
-		t.Fatalf("completed %d reads, want 2", done)
-	}
-	if sr.spans == 0 {
-		t.Fatal("no spans recorded: NextEventAt never exceeded now+1 on an idle controller")
-	}
-	if got := ticked + sr.cycles; got != c.Now() {
-		t.Fatalf("coverage hole: %d ticked + %d spanned = %d cycles, controller at %d",
-			ticked, sr.cycles, got, c.Now())
 	}
 }
 

@@ -1,18 +1,20 @@
-// The controller's time wheel: the next-event view that lets the event
-// engine jump over provably idle stretches instead of ticking through
-// them. NextEventAt returns a conservative lower bound on the first MC
-// cycle at which Tick could do anything observable — fire a completion,
-// start a refresh, progress a VRR, or issue (or be denied) a command —
-// and AdvanceTo moves the clock across a span that NextEventAt proved
-// empty.
+// The controller's time wheel: the next-event view that lets its drivers
+// (sim's skip-ahead loop and payload.Run) jump over provably idle
+// stretches instead of ticking through them. NextEventAt returns a
+// conservative lower bound on the first MC cycle at which Tick could do
+// anything observable — fire a completion, start a refresh, progress a
+// VRR, or issue (or be denied) a command — and AdvanceTo moves the clock
+// across a span that NextEventAt proved empty.
 //
 // Conservatism is the only correctness requirement: NextEventAt may
 // return a cycle earlier than the first real event (the caller just
 // ticks through a few no-op cycles), but never later. Candidate times
 // that depend on gate decisions count as events even when the gate
 // would deny — a denial mutates gate state (lastDenied, throttle
-// counters, telemetry), so the engine must land on that cycle and let
-// Tick take the denial exactly as the cycle engine would.
+// counters, telemetry), so the driver must land on that cycle and let
+// Tick take the denial exactly as per-cycle ticking would. The
+// twin-drive tests and FuzzEngineEquivalence hold Tick-every-cycle and
+// NextEventAt/AdvanceTo driving to identical state.
 package memctrl
 
 // farFuture is the "no event" sentinel; far enough that adding timing
@@ -21,13 +23,9 @@ const farFuture = int64(1) << 62
 
 // NextEventAt returns the earliest MC cycle at which the next Tick can
 // have an observable effect. Every cycle strictly before it is a
-// guaranteed no-op tick. With any Ticker plugin attached, every cycle
-// is an event by definition. The result is always > Now(): when
-// something is schedulable right now the next Tick is the event.
+// guaranteed no-op tick. The result is always > Now(): when something
+// is schedulable right now the next Tick is the event.
 func (c *Controller) NextEventAt() int64 {
-	if len(c.tickers) > 0 {
-		return c.now + 1
-	}
 	next := farFuture
 	for _, p := range c.completions {
 		if p.at < next {
@@ -125,9 +123,9 @@ func (c *Controller) drainToggles() bool {
 
 // AdvanceTo jumps the controller clock to `target`, treating every
 // cycle in (Now(), target] as the no-op tick NextEventAt proved it to
-// be. The caller must keep target < NextEventAt(); with a Ticker
-// attached NextEventAt pins the wheel to Now()+1, so ticker plugins
-// never miss a tick.
+// be. The caller must keep target < NextEventAt(). Plugins see nothing
+// of the jump: with no command issued in the span there is nothing to
+// dispatch.
 //
 // The one piece of per-tick state that changes even across a no-op span
 // is the drain flag: updateDrainMode is not idempotent in the two
@@ -138,14 +136,10 @@ func (c *Controller) AdvanceTo(target int64) {
 	if target <= c.now {
 		return
 	}
-	from := c.now
 	steps := target - c.now
 	c.now = target
 	c.updateDrainMode()
 	if steps > 1 && (steps-1)&1 == 1 && c.drainToggles() {
 		c.draining = !c.draining
-	}
-	for _, so := range c.spanObs {
-		so.OnSpan(from, target)
 	}
 }

@@ -220,19 +220,3 @@ func TestTimeWheelGateDenialIdentity(t *testing.T) {
 	}
 	assertTwinsAgree(t, ops, 12_000, func() Plugin { return &windowGate{until: 2000} })
 }
-
-// TestAdvanceToRefusesTickers: with a Ticker attached the wheel reports
-// every next cycle as an event, so a compliant caller can never jump a
-// ticker past a tick.
-func TestAdvanceToRefusesTickers(t *testing.T) {
-	t.Parallel()
-	c := New(dram.Table2Geometry, dram.DDR4_3200())
-	var log []string
-	c.AttachPlugin(&recorder{id: "T", log: &log})
-	for i := 0; i < 50; i++ {
-		if got := c.NextEventAt(); got != c.Now()+1 {
-			t.Fatalf("NextEventAt = %d with ticker attached, want %d", got, c.Now()+1)
-		}
-		c.Tick()
-	}
-}

@@ -80,8 +80,8 @@ func parityPrograms() []*Program {
 // legacy attack pattern, encoded as a DSL program, must reproduce the
 // recorded scripted-runner run exactly — same flips (per row), same
 // activation and refresh counters, same plugin decisions, same
-// controller statistics and cycle count — under both the event and the
-// cycle engine, across every mitigation in the registry.
+// controller statistics and cycle count — across every mitigation in the
+// registry.
 func TestPayloadScriptedParity(t *testing.T) {
 	t.Parallel()
 	var want map[string]scriptedRun
@@ -95,17 +95,15 @@ func TestPayloadScriptedParity(t *testing.T) {
 				if !ok {
 					t.Fatal("no recorded scripted run")
 				}
-				for _, engine := range []string{EngineEvent, EngineCycle} {
-					got, err := Run(context.Background(), RunConfig{
-						Bank: parityBank(), Mitigation: mit, Seed: 3,
-						MaxActivations: parityActs, MaxCycles: 4_000_000, Engine: engine,
-					}, prog)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if g := scriptedRunOf(got); !reflect.DeepEqual(g, w) {
-						t.Errorf("%s diverges from the scripted run:\n got  %+v\n want %+v", engine, g, w)
-					}
+				got, err := Run(context.Background(), RunConfig{
+					Bank: parityBank(), Mitigation: mit, Seed: 3,
+					MaxActivations: parityActs, MaxCycles: 4_000_000,
+				}, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g := scriptedRunOf(got); !reflect.DeepEqual(g, w) {
+					t.Errorf("diverges from the scripted run:\n got  %+v\n want %+v", g, w)
 				}
 			})
 		}

@@ -8,9 +8,12 @@
 // victim refreshes drain and the REF cadence advances; the searcher uses
 // it to jitter inter-ACT gaps.
 //
-// Both engines produce bit-identical flips, counters and plugin
-// decisions; testdata/scripted_golden.json pins them for the library
-// programs against the scripted runner this interpreter replaced.
+// The controller advances on its next-event time wheel, jumping over
+// provably idle stretches (memctrl's twin-drive tests and
+// FuzzEngineEquivalence prove that unobservable against per-cycle
+// ticking); testdata/scripted_golden.json pins the flips, counters and
+// plugin decisions of the library programs against the scripted runner
+// this interpreter replaced.
 package payload
 
 import (
@@ -20,16 +23,6 @@ import (
 	"safeguard/internal/dram"
 	"safeguard/internal/memctrl"
 	"safeguard/internal/rowhammer"
-)
-
-// Engine names for RunConfig.Engine.
-const (
-	// EngineEvent advances the controller on its next-event time wheel,
-	// skipping provably idle stretches — the default, matching the sim
-	// package's event engine.
-	EngineEvent = "event"
-	// EngineCycle ticks every MC cycle, the reference loop.
-	EngineCycle = "cycle"
 )
 
 // RunConfig drives one program through the controller.
@@ -51,8 +44,6 @@ type RunConfig struct {
 	// throttled program until the refresh window rotates. Defaults to
 	// 4000 cycles per budgeted ACT plus slack.
 	MaxCycles int64
-	// Engine selects EngineEvent (default) or EngineCycle.
-	Engine string
 }
 
 // Result summarizes one program run.
@@ -98,15 +89,6 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 	if err := cfg.Bank.Validate(); err != nil {
 		return Result{}, err
 	}
-	var event bool
-	switch cfg.Engine {
-	case "", EngineEvent:
-		event = true
-	case EngineCycle:
-		event = false
-	default:
-		return Result{}, fmt.Errorf("payload: unknown engine %q (valid: %s, %s)", cfg.Engine, EngineEvent, EngineCycle)
-	}
 	rig, err := newAttackRig(cfg.Bank, cfg.Mitigation, cfg.MitigationThreshold, cfg.Seed)
 	if err != nil {
 		return Result{}, err
@@ -122,7 +104,7 @@ func Run(ctx context.Context, cfg RunConfig, p *Program) (Result, error) {
 		maxCycles = budget*4000 + 100_000
 	}
 
-	r := &runner{mc: mc, event: event, ctx: ctx}
+	r := &runner{mc: mc, ctx: ctx}
 	res := Result{Program: p.Name, Mitigation: rig.mitigation}
 	p.Walk(func(s Step) bool {
 		if s.IsAct {
@@ -218,10 +200,9 @@ func newAttackRig(bank rowhammer.Config, mitigation string, threshold int, seed 
 	return attackRig{mc: mc, tracer: tracer, mapper: dram.NewMapper(geom), mitigation: mitigation}, nil
 }
 
-// runner advances the controller clock under either engine.
+// runner advances the controller clock on its time wheel.
 type runner struct {
 	mc     *memctrl.Controller
-	event  bool
 	ctx    context.Context
 	err    error
 	ctxErr error
@@ -235,22 +216,18 @@ func (r *runner) advance(done func() bool, limit int64) bool {
 		if done != nil && done() {
 			return true
 		}
-		// The cycle engine amortizes the cancellation check over 1024
-		// ticks; the event engine can jump arbitrarily far, so it checks
-		// on every event.
-		if (r.event || r.mc.Now()&1023 == 0) && r.ctx.Err() != nil {
+		// A jump can cover arbitrarily many cycles, so cancellation is
+		// checked on every event.
+		if r.ctx.Err() != nil {
 			r.ctxErr = r.ctx.Err()
 			return false
 		}
-		if r.event {
-			// Everything strictly before NextEventAt is a provable no-op
-			// tick; jump to the cycle before the event and Tick onto it.
-			if next := r.mc.NextEventAt(); next-1 > r.mc.Now() {
-				target := minI64(next-1, limit)
-				r.mc.AdvanceTo(target)
-				if r.mc.Now() >= limit {
-					break
-				}
+		// Everything strictly before NextEventAt is a provable no-op
+		// tick; jump to the cycle before the event and Tick onto it.
+		if next := r.mc.NextEventAt(); next-1 > r.mc.Now() {
+			r.mc.AdvanceTo(min(next-1, limit))
+			if r.mc.Now() >= limit {
+				break
 			}
 		}
 		r.mc.Tick()
@@ -259,11 +236,4 @@ func (r *runner) advance(done func() bool, limit int64) bool {
 		return r.ctxErr == nil
 	}
 	return done()
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -115,7 +115,6 @@ func TestRunErrors(t *testing.T) {
 		"invalid program": {RunConfig{Bank: parityBank()}, &Program{Name: "bad"}},
 		"row outside bank": {RunConfig{Bank: parityBank()},
 			&Program{Name: "far", Body: []Instr{Act{Row: 4096}}}},
-		"unknown engine":     {RunConfig{Bank: parityBank(), Engine: "warp"}, valid},
 		"unknown mitigation": {RunConfig{Bank: parityBank(), Mitigation: "moat"}, valid},
 		"bad bank": {RunConfig{Bank: rowhammer.Config{Rows: -1, Threshold: 1, LinesPerRow: 1}},
 			valid},

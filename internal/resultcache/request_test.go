@@ -52,6 +52,36 @@ func TestHashDeterministicAcrossSpellings(t *testing.T) {
 	}
 }
 
+// TestHashPins pins request identities as constants: a change to the
+// canonical JSON (a renamed field, a new default, a dropped option) that
+// moves any of these hashes orphans every stored result and must be made
+// on purpose.
+func TestHashPins(t *testing.T) {
+	t.Parallel()
+	explicitEngine := tinySynth()
+	explicitEngine.Synth.Engine = "event"
+	pins := []struct {
+		name string
+		req  *Request
+		want string
+	}{
+		{"default synth", &Request{Kind: KindSynth}, "c796f2fb0fa84b03abb04701f8231eb860f32145802f76f63d6adddeb19269e1"},
+		{"tiny synth", tinySynth(), "df9290c4fef38f7fdc07c80dd8d4ed7c608718bdfb1e4aa5cf2e97cb6824dc6b"},
+		{"tiny synth, explicit engine", explicitEngine, "df9290c4fef38f7fdc07c80dd8d4ed7c608718bdfb1e4aa5cf2e97cb6824dc6b"},
+		{"tiny perf", tinyPerf(), "ac0a1378ca07594d20004f70d19c2f160dd5cea14295012f96edc3388ee3e670"},
+		{"tiny rel", tinyRel(), "b164a2a4585523f37609b1f11342b7f9b75ffbdf97d5cc42e870144148912f3d"},
+	}
+	for _, p := range pins {
+		got, err := p.req.Hash()
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got != p.want {
+			t.Errorf("%s: hash %s, pinned %s", p.name, got, p.want)
+		}
+	}
+}
+
 func TestHashSeparatesSemanticChanges(t *testing.T) {
 	t.Parallel()
 	base, err := tinyPerf().Hash()

@@ -53,7 +53,9 @@ type SynthRequest struct {
 	Population  int `json:"population"`
 	// MaxCycles bounds each evaluation (0 = the interpreter default).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// Engine is payload.EngineEvent (default) or payload.EngineCycle.
+	// Engine must be "event" (the "" default, materialized by normalize);
+	// any other value is rejected. It stays in the request so existing
+	// request hashes hold.
 	Engine string `json:"engine,omitempty"`
 }
 

@@ -71,12 +71,10 @@ func TestSynthHashCanonicalization(t *testing.T) {
 		"seed":      tinySynth(),
 		"budget":    tinySynth(),
 		"threshold": tinySynth(),
-		"engine":    tinySynth(),
 	}
 	variants["seed"].Synth.Seed = 8
 	variants["budget"].Synth.Budget = 401
 	variants["threshold"].Synth.Thresholds = []int{121}
-	variants["engine"].Synth.Engine = "cycle"
 	for name, req := range variants {
 		h, err := req.Hash()
 		if err != nil {
@@ -125,6 +123,7 @@ func TestSynthNormalizeRejections(t *testing.T) {
 		"population cap":      mut(func(s *SynthRequest) { s.Population = synthPopulationCap + 1 }),
 		"negative cycles":     mut(func(s *SynthRequest) { s.MaxCycles = -1 }),
 		"unknown engine":      mut(func(s *SynthRequest) { s.Engine = "warp" }),
+		"cycle engine":        mut(func(s *SynthRequest) { s.Engine = "cycle" }),
 		"tiny bank":           mut(func(s *SynthRequest) { s.Bank.Rows = 8 }),
 		"cells cap": mut(func(s *SynthRequest) {
 			ths := make([]int, synthCellsCap+1)

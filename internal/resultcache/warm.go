@@ -2,10 +2,9 @@
 // names one simulation cell's warm-up phase (experiments.WarmKey); its
 // result is the sgsnap/1 snapshot captured when every core crosses the
 // warm budget. Minting costs the warm phase once; every later run of the
-// cell — at any measured budget, under either engine — restores the
-// pooled snapshot and simulates only the measured phase, bit-identically
-// to a cold run (the sim package's restore-equals-uninterrupted
-// contract). WarmPool adapts the content-addressed cache to the
+// cell — at any measured budget — restores the pooled snapshot and
+// simulates only the measured phase, bit-identically to a cold run (the
+// sim package's restore-equals-uninterrupted contract). WarmPool adapts the content-addressed cache to the
 // experiments.WarmStore interface the perf pool consumes.
 package resultcache
 

@@ -20,12 +20,6 @@ type ActivationTracer struct {
 	refs  map[int]int
 
 	lastActs, lastVRRs, lastFlips float64
-
-	// Skip-span accounting (event engine only). Kept out of DrainStats:
-	// plugin stats are compared bit-for-bit between engines, and spans
-	// exist only in the event engine.
-	spans         int64
-	spannedCycles int64
 }
 
 // NewActivationTracer builds a tracer; each (rank, bank) the controller
@@ -70,22 +64,6 @@ func (t *ActivationTracer) OnCommand(cmd memctrl.Command, rank, bank, row int, c
 			}
 		}
 	}
-}
-
-// OnSpan implements memctrl.SpanObserver: the controller jumped over an
-// idle stretch with no commands. No disturbance happens without
-// commands, so the model does not change; the tracer only records the
-// span for skip diagnostics (see Spans).
-func (t *ActivationTracer) OnSpan(from, to int64) {
-	t.spans++
-	t.spannedCycles += to - from
-}
-
-// Spans reports how many idle spans the controller skipped past the
-// tracer and their total length in MC cycles. Zero under the cycle
-// engine.
-func (t *ActivationTracer) Spans() (count, cycles int64) {
-	return t.spans, t.spannedCycles
 }
 
 // DrainStats implements memctrl.Plugin: activity since the last drain.

@@ -34,7 +34,7 @@ func restoreConfig(t *testing.T, scheme Scheme, mitigation string) Config {
 // leg of the proof.
 func captureAt(t *testing.T, cfg Config, engine string, at int64) []byte {
 	t.Helper()
-	cfg.Engine = engine
+	cfg = withEngine(t, cfg, engine)
 	cfg.Telemetry = telemetry.NewRegistry()
 	cfg.SnapshotAt = at
 	cfg.SnapshotStop = true
@@ -53,7 +53,7 @@ func captureAt(t *testing.T, cfg Config, engine string, at int64) []byte {
 // completion.
 func resume(t *testing.T, cfg Config, engine string, data []byte) (Result, telemetry.Snapshot) {
 	t.Helper()
-	cfg.Engine = engine
+	cfg = withEngine(t, cfg, engine)
 	cfg.Telemetry = telemetry.NewRegistry()
 	sys := NewSystem(cfg)
 	if err := sys.RestoreSnapshot(data); err != nil {
@@ -100,7 +100,7 @@ func assertRunsIdentical(t *testing.T, label string, want, got Result, wantSnap,
 func restoreProof(t *testing.T, cfg Config, at int64) {
 	t.Helper()
 	ref, refSnap := runEngine(t, cfg, "event")
-	for _, engine := range EngineNames() {
+	for _, engine := range engineNames {
 		data := captureAt(t, cfg, engine, at)
 		res, snap := resume(t, cfg, engine, data)
 		assertRunsIdentical(t, engine, ref, res, refSnap, snap)
@@ -174,8 +174,7 @@ func TestCheckpointEveryResume(t *testing.T) {
 	ref, refSnap := runEngine(t, cfg, "event")
 
 	const every = 7_000
-	run := cfg
-	run.Engine = "event"
+	run := withEngine(t, cfg, "event")
 	run.Telemetry = telemetry.NewRegistry()
 	run.CheckpointEvery = every
 	var cycles []int64
@@ -218,8 +217,7 @@ func TestSnapshotWarmCapture(t *testing.T) {
 	cfg := restoreConfig(t, SafeGuard, "none")
 	ref, refSnap := runEngine(t, cfg, "event")
 
-	run := cfg
-	run.Engine = "event"
+	run := withEngine(t, cfg, "event")
 	run.Telemetry = telemetry.NewRegistry()
 	run.SnapshotWarm = true
 	var warm []byte
@@ -332,8 +330,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 
 	ref, refSnap := runEngine(t, cfg, "event")
-	observed := cfg
-	observed.Engine = "event"
+	observed := withEngine(t, cfg, "event")
 	observed.Telemetry = telemetry.NewRegistry()
 	observed.SnapshotAt = 9_000
 	observed.SnapshotFn = func([]byte) error { return nil }

@@ -169,18 +169,12 @@ type Config struct {
 	// and (when Telemetry is set) the stack is published as
 	// "attrib.cpi.<scheme>.<component>" counters.
 	Attrib bool
-	// Engine selects the run loop: "event" (also the "" default) skips
-	// provably idle spans using the controller's time wheel and the
-	// cores' skip states; "cycle" forces the legacy per-cycle loop — the
-	// A/B escape hatch. The two engines produce bit-identical results;
-	// unknown names surface as an error from Run.
-	Engine string
 
 	// SnapshotAt, when positive, captures the complete simulator state at
 	// the end of CPU cycle SnapshotAt and hands the encoded sgsnap/1 bytes
-	// to SnapshotFn. The capture point is end-of-cycle, which both engines
-	// reach with identical state, so a snapshot taken under one engine
-	// restores bit-identically under the other.
+	// to SnapshotFn. The capture point is end-of-cycle, which the
+	// skip-ahead loop never jumps over, so the captured state is the one
+	// a cycle-by-cycle run reaches there.
 	SnapshotAt int64
 	// SnapshotStop aborts the run (Run returns ErrStopped) right after the
 	// SnapshotAt capture — the "interrupted run" half of a
@@ -198,26 +192,16 @@ type Config struct {
 	// SnapshotAt, SnapshotWarm, or CheckpointEvery is set. A returned
 	// error aborts the run.
 	SnapshotFn func(data []byte) error
+
+	// perCycle runs the reference loop: the same loop with skip-ahead
+	// (trySkip) off, simulating every CPU cycle. Only this package's
+	// tests set it, to prove skipping unobservable.
+	perCycle bool
 }
 
 // ErrStopped is returned by Run when Config.SnapshotStop ends the run at
 // its SnapshotAt capture point.
 var ErrStopped = errors.New("sim: run stopped at snapshot point")
-
-// EngineNames lists the valid Config.Engine values.
-func EngineNames() []string { return []string{"event", "cycle"} }
-
-// ParseEngine validates a Config.Engine value ("" is the event default).
-// Unknown names are an error listing the valid set — the cmds call this
-// up front so a typo fails with usage instead of mid-sweep.
-func ParseEngine(name string) (string, error) {
-	switch name {
-	case "", "event", "cycle":
-		return name, nil
-	}
-	return "", fmt.Errorf("unknown engine %q (valid: %s)",
-		name, strings.Join(EngineNames(), ", "))
-}
 
 // DefaultConfig returns the Table II system.
 func DefaultConfig() Config {
@@ -329,7 +313,7 @@ type System struct {
 	// warmCPI snapshots each stack at its core's warm-up crossing.
 	coreCPI []*attrib.CPIStack
 	warmCPI []attrib.CPIStack
-	// skipProbes is the event engine's replay scratch: one frozen probe
+	// skipProbes is the skip-ahead replay scratch: one frozen probe
 	// per started core during a skipped span (allocated once).
 	skipProbes []attrib.Probe
 	// skipNextTry/skipBackoff throttle skip attempts: after a failed
@@ -434,7 +418,7 @@ func (t *reqTrack) ProbeStall(now int64) attrib.Component {
 	// The controller ticks on even CPU cycles, after the cores: during a
 	// core's Cycle(now) the MC clock reads (now-1)/2. Passing that cycle
 	// explicitly (instead of reading the MC's live clock) keeps the
-	// classification exact when the event engine replays skipped stall
+	// classification exact when skip-ahead replays skipped stall
 	// cycles without stepping the controller.
 	return t.sys.mc.ReadStallClassAt(t.line, (now-1)>>1)
 }
@@ -456,9 +440,6 @@ func NewSystem(cfg Config) *System {
 	s.mc.FCFS = cfg.FCFSScheduler
 	s.mc.AttachTelemetry(cfg.Telemetry, cfg.Trace)
 	s.mc.SetCompletionSink(s)
-	if _, err := ParseEngine(cfg.Engine); err != nil {
-		s.initErr = fmt.Errorf("sim: %w", err)
-	}
 	if (cfg.SnapshotAt > 0 || cfg.SnapshotWarm || cfg.CheckpointEvery > 0) && cfg.SnapshotFn == nil {
 		s.initErr = errors.New("sim: snapshot capture requested without Config.SnapshotFn")
 	}
@@ -903,7 +884,6 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		return Result{}, s.initErr
 	}
 	target := s.cfg.WarmupInstr + s.cfg.InstrPerCore
-	event := s.cfg.Engine != "cycle"
 	for s.now++; s.remaining > 0; s.now++ {
 		if s.now > s.cfg.MaxCycles {
 			return Result{}, fmt.Errorf("sim: exceeded MaxCycles=%d (%d cores unfinished)", s.cfg.MaxCycles, s.remaining)
@@ -943,9 +923,9 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 			s.mc.Tick()
 		}
 		// Snapshot capture sits at end-of-cycle: every state transition of
-		// cycle s.now has happened, and the event engine never skips a
-		// capture cycle (trySkip caps its target below), so both engines
-		// capture identical state here.
+		// cycle s.now has happened, and skip-ahead never jumps a capture
+		// cycle (trySkip caps its target below), so the state captured
+		// here is exactly the per-cycle loop's.
 		if s.cfg.SnapshotFn != nil {
 			if err := s.maybeSnapshot(); err != nil {
 				return Result{}, err
@@ -954,7 +934,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 				return Result{}, ErrStopped
 			}
 		}
-		if event && s.remaining > 0 && s.now >= s.skipNextTry {
+		if !s.cfg.perCycle && s.remaining > 0 && s.now >= s.skipNextTry {
 			if s.trySkip(ctx) {
 				s.skipBackoff = 0
 			} else {
@@ -1048,9 +1028,9 @@ func (s *System) nextSnapshotAt() int64 {
 	return next
 }
 
-// trySkip is the event engine's skip-ahead step, run at the end of a
-// loop iteration. When every started core is provably inert (ROB full:
-// no retirement, no dispatch, no store retries) and the controller's
+// trySkip is the skip-ahead step, run at the end of a loop iteration.
+// When every started core is provably inert (ROB full: no retirement,
+// no dispatch, no store retries) and the controller's
 // next event is in the future, it jumps s.now to one cycle before the
 // earliest thing that can happen — a core's own wake-up, a late core's
 // staggered start, the controller's next event (MC cycle M is processed

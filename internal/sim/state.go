@@ -6,7 +6,7 @@ package sim
 // same Config. The contract, enforced by the restore-equals-uninterrupted
 // suite (restore_test.go): continuing a restored system is bit-identical —
 // IPC, controller stats, CPI stacks, plugin decisions, telemetry — to the
-// run that was never interrupted, under either engine.
+// run that was never interrupted, with or without skip-ahead.
 //
 // In-flight request tracks (the attribution probes shared between MSHR
 // entries and ROB entries) are interned into one table with deterministic
@@ -226,11 +226,12 @@ func (s *System) SaveState() (*State, error) {
 }
 
 // RestoreState rebuilds the state into this freshly constructed System.
-// The snapshot must come from a System with the same Config (engine
-// excepted: the state at a cycle boundary is engine-independent, so a
-// snapshot captured under one engine restores under the other). The
-// reader is strict — structural violations fail before the run can
-// resume wrong. A failed restore leaves the System unusable.
+// The snapshot must come from a System with the same Config. The state
+// at a cycle boundary does not depend on skip-ahead, so a snapshot
+// captured by the per-cycle reference loop restores under the skip-ahead
+// loop and vice versa. The reader is strict — structural violations fail
+// before the run can resume wrong. A failed restore leaves the System
+// unusable.
 func (s *System) RestoreState(st *State) error {
 	if s.initErr != nil {
 		return s.initErr
@@ -432,14 +433,14 @@ func (s *System) EncodeSnapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := s.cfg.Engine
-	if engine == "" {
-		engine = "event"
-	}
+	// "engine" is a constant: the skip-ahead loop is the only production
+	// loop, and the meta key stays so snapshots keep the exact bytes of
+	// the committed sgsnap/1 goldens (testdata/*.sgsnap). The per-cycle
+	// reference loop captures identical state and writes the same meta.
 	return snapshot.Encode(SnapshotKind, map[string]string{
 		"cores":    strconv.Itoa(s.cfg.Cores),
 		"cycle":    strconv.FormatInt(s.now, 10),
-		"engine":   engine,
+		"engine":   "event",
 		"scheme":   s.cfg.Scheme.String(),
 		"seed":     strconv.FormatUint(s.cfg.Seed, 10),
 		"workload": s.cfg.Workload.Name,

@@ -48,6 +48,10 @@ const (
 	maxGap        = 512
 )
 
+// eventEngine is the only legal Config.Engine value: payload.Run always
+// advances the controller on its time wheel.
+const eventEngine = "event"
+
 // Config parameterizes one synthesis run.
 type Config struct {
 	// Bank is the disturbance-model geometry; Thresholds overrides its
@@ -69,7 +73,9 @@ type Config struct {
 	Population  int `json:"population"`
 	// MaxCycles bounds each evaluation (0 = payload.Run's default).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// Engine selects the controller loop (payload.EngineEvent default).
+	// Engine names the controller loop. Its one legal value is "event"
+	// (the "" default): the field stays because it is part of the
+	// artifact and of hashed synth requests.
 	Engine string `json:"engine,omitempty"`
 	// Parallelism bounds concurrent cell searches (0 = all cells at
 	// once). Results are identical for any value.
@@ -97,7 +103,7 @@ func (c *Config) Normalize() *Config {
 		c.Population = 12
 	}
 	if c.Engine == "" {
-		c.Engine = payload.EngineEvent
+		c.Engine = eventEngine
 	}
 	return c
 }
@@ -128,10 +134,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("synth: need generations >= 1 and population >= 2, got %d/%d",
 			c.Generations, c.Population)
 	}
-	switch c.Engine {
-	case payload.EngineEvent, payload.EngineCycle:
-	default:
-		return fmt.Errorf("synth: unknown engine %q", c.Engine)
+	if c.Engine != eventEngine {
+		return fmt.Errorf("synth: unknown engine %q (valid: %s)", c.Engine, eventEngine)
 	}
 	return nil
 }
@@ -354,7 +358,6 @@ func searchCell(ctx context.Context, cfg Config, mit string, th int, cellIdx uin
 			Seed:           cfg.Seed,
 			MaxActivations: budget,
 			MaxCycles:      cfg.MaxCycles,
-			Engine:         cfg.Engine,
 		}, p)
 	}
 

@@ -130,6 +130,7 @@ func TestConfigValidate(t *testing.T) {
 		"tiny population":    func(c *Config) { c.Population = 1 },
 		"zero generations":   func(c *Config) { c.Generations = -1 },
 		"unknown engine":     func(c *Config) { c.Engine = "warp" },
+		"cycle engine":       func(c *Config) { c.Engine = "cycle" },
 		"tiny bank":          func(c *Config) { c.Bank.Rows = 8 },
 		"invalid bank":       func(c *Config) { c.Bank = rowhammer.Config{Rows: -4} },
 	}

@@ -44,6 +44,12 @@ type TraceFile struct {
 // trace file. Meta keys are written sorted; a nil tracer writes a valid
 // header-only file.
 func WriteTraceFile(w io.Writer, meta map[string]string, t *Tracer) error {
+	return writeTrace(w, meta, t.Events(), t.Dropped())
+}
+
+// writeTrace renders one trace file: header, sorted meta, events, and
+// the dropped trailer when positive.
+func writeTrace(w io.Writer, meta map[string]string, events []Event, dropped uint64) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s%d\n", traceMagic, TraceFormatVersion)
 	keys := make([]string, 0, len(meta))
@@ -54,18 +60,19 @@ func WriteTraceFile(w io.Writer, meta map[string]string, t *Tracer) error {
 	for _, k := range keys {
 		fmt.Fprintf(bw, "# meta %s=%s\n", k, meta[k])
 	}
-	for _, e := range t.Events() {
+	for _, e := range events {
 		fmt.Fprintln(bw, e.String())
 	}
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(bw, "# dropped %d\n", d)
+	if dropped > 0 {
+		fmt.Fprintf(bw, "# dropped %d\n", dropped)
 	}
 	return bw.Flush()
 }
 
 // ReadTraceFile parses a versioned trace file. A missing or unsupported
 // version line is an error — pre-versioning event dumps and future
-// formats are rejected, not guessed at.
+// formats are rejected, not guessed at — and so is a meta key given
+// twice, since the format writes one line per key.
 func ReadTraceFile(r io.Reader) (*TraceFile, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -97,8 +104,13 @@ func ReadTraceFile(r io.Reader) (*TraceFile, error) {
 		case strings.HasPrefix(text, "# meta "):
 			kv := strings.TrimPrefix(text, "# meta ")
 			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
+			// A carriage return inside a meta line cannot survive a
+			// rewrite: the line scanner strips one before the newline.
+			if !ok || strings.ContainsRune(kv, '\r') {
 				return nil, fmt.Errorf("telemetry: trace line %d: bad meta %q", line, text)
+			}
+			if _, dup := tf.Meta[k]; dup {
+				return nil, fmt.Errorf("telemetry: trace line %d: duplicate meta key %q", line, k)
 			}
 			tf.Meta[k] = v
 		case strings.HasPrefix(text, "# dropped "):

@@ -102,22 +102,27 @@ func TestTraceFileDroppedTrailer(t *testing.T) {
 	}
 }
 
+// traceFileRejects are trace files ReadTraceFile must refuse (also
+// FuzzReadTraceFile seeds).
+var traceFileRejects = map[string]string{
+	"empty":           "",
+	"headerless":      "1 ACT rank=0 bank=0 row=1\n",
+	"future version":  "# safeguard-trace v2\n",
+	"garbage version": "# safeguard-trace vX\n",
+	"bad meta":        "# safeguard-trace v1\n# meta noequals\n",
+	"duplicate meta":  "# safeguard-trace v1\n# meta tool=a\n# meta tool=b\n",
+	"CR in meta":      "# safeguard-trace v1\n# meta tool=a\r\r\n",
+	"bad dropped":     "# safeguard-trace v1\n# dropped many\n",
+	"unknown kind":    "# safeguard-trace v1\n1 EXPLODE rank=0\n",
+	"bad field":       "# safeguard-trace v1\n1 ACT rank=zero bank=0 row=1\n",
+	"unknown field":   "# safeguard-trace v1\n1 ACT rank=0 bank=0 row=1 color=red\n",
+	"fieldless event": "# safeguard-trace v1\njunk\n",
+	"bad cycle":       "# safeguard-trace v1\nx ACT rank=0 bank=0 row=1\n",
+	"cut event field": "# safeguard-trace v1\n1 ACT rank\n",
+}
+
 func TestReadTraceFileRejects(t *testing.T) {
-	cases := map[string]string{
-		"empty":           "",
-		"headerless":      "1 ACT rank=0 bank=0 row=1\n",
-		"future version":  "# safeguard-trace v2\n",
-		"garbage version": "# safeguard-trace vX\n",
-		"bad meta":        "# safeguard-trace v1\n# meta noequals\n",
-		"bad dropped":     "# safeguard-trace v1\n# dropped many\n",
-		"unknown kind":    "# safeguard-trace v1\n1 EXPLODE rank=0\n",
-		"bad field":       "# safeguard-trace v1\n1 ACT rank=zero bank=0 row=1\n",
-		"unknown field":   "# safeguard-trace v1\n1 ACT rank=0 bank=0 row=1 color=red\n",
-		"fieldless event": "# safeguard-trace v1\njunk\n",
-		"bad cycle":       "# safeguard-trace v1\nx ACT rank=0 bank=0 row=1\n",
-		"cut event field": "# safeguard-trace v1\n1 ACT rank\n",
-	}
-	for name, body := range cases {
+	for name, body := range traceFileRejects {
 		if _, err := ReadTraceFile(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: ReadTraceFile accepted %q", name, body)
 		}
@@ -125,9 +130,10 @@ func TestReadTraceFileRejects(t *testing.T) {
 }
 
 // Unknown comments are tolerated (forward extension), blank lines skipped.
+const tolerantTraceFile = "# safeguard-trace v1\n# some future annotation\n\n3 QUARANTINE\n"
+
 func TestReadTraceFileTolerant(t *testing.T) {
-	body := "# safeguard-trace v1\n# some future annotation\n\n3 QUARANTINE\n"
-	tf, err := ReadTraceFile(strings.NewReader(body))
+	tf, err := ReadTraceFile(strings.NewReader(tolerantTraceFile))
 	if err != nil {
 		t.Fatal(err)
 	}

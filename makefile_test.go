@@ -121,6 +121,8 @@ func TestMakeFuzzTargetsPackageQualified(t *testing.T) {
 		"./internal/snapshot:FuzzSnapshotReader",
 		"./internal/payload:FuzzPayloadParse",
 		"./internal/synth:FuzzParseMatrix",
+		"./internal/telemetry:FuzzParseEvent",
+		"./internal/telemetry:FuzzReadTraceFile",
 	} {
 		if !strings.Contains(mf, want) {
 			t.Errorf("FUZZ_TARGETS missing %q", want)
@@ -174,7 +176,7 @@ func TestMakeCIComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth", "./internal/rowhammer"} {
+	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth", "./internal/rowhammer", "./internal/sim"} {
 		if !strings.Contains(string(raw), pkg) {
 			t.Errorf("coverage gate dropped %s", pkg)
 		}
