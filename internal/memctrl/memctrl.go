@@ -517,16 +517,31 @@ func (c *Controller) schedule(queue []*request) {
 			}
 			continue
 		}
-		// FR-FCFS keeps a row open while same-direction hits remain queued
-		// anywhere in the active queue (also beyond the FCFS window). Only
-		// the active queue counts: deferring a precharge to hits in the
-		// idle queue could stall the active direction indefinitely.
-		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && bank.queuedHits[dir(r.write)] == 0 {
+		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && !c.hitsDeferPrecharge(queue[:limit], r, bank) {
 			bank.closeRow()
 			bank.actReadyAt = maxI64(bank.actReadyAt, c.now+int64(c.tm.TRP))
 			return
 		}
 	}
+}
+
+// hitsDeferPrecharge reports whether queued row hits keep bank's open
+// row open against r, a same-queue request for another row. Only the
+// active queue counts: deferring a precharge to hits in the idle queue
+// could stall the active direction indefinitely. FR-FCFS counts hits
+// anywhere in the queue. FCFS counts only its in-order window: a hit
+// beyond the window cannot issue before the window drains, so deferring
+// to it would block the window until a refresh or VRR closed the row.
+func (c *Controller) hitsDeferPrecharge(window []*request, r *request, bank *bankState) bool {
+	if !c.FCFS {
+		return bank.queuedHits[dir(r.write)] > 0
+	}
+	for _, w := range window {
+		if w.coord.Rank == r.coord.Rank && w.coord.Bank == r.coord.Bank && w.coord.Row == bank.openRow {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *Controller) canActivate(bank *bankState, rank *rankState) bool {

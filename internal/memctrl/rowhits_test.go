@@ -183,3 +183,36 @@ func TestRestoreRejectsOutOfGeometryRequest(t *testing.T) {
 		}
 	}
 }
+
+// Under FCFS a row hit queued beyond the in-order window must not defer
+// the window's precharge: the hit cannot issue before the window drains,
+// so deferring to it would stall the bank until a refresh closed the row.
+// Four reads to row 2 fill the window behind an open row 1; a fifth read,
+// to row 1, sits outside it. Every read must complete long before the
+// first refresh.
+func TestFCFSOutOfWindowHitDoesNotBlockPrecharge(t *testing.T) {
+	t.Parallel()
+	c := newCtl()
+	c.FCFS = true
+	line := func(row, col int) uint64 { return lineFor(0, 0, row, col) }
+	done := 0
+	count := func(int64) { done++ }
+	c.EnqueueRead(line(1, 0), count)
+	if !runUntil(c, 200, func() bool { return done == 1 }) {
+		t.Fatal("opening read never completed")
+	}
+	for col := 0; col < fcfsWindow; col++ {
+		c.EnqueueRead(line(2, col), count)
+	}
+	c.EnqueueRead(line(1, 1), count)
+	if bank := &c.banks[0][0]; bank.openRow != 1 || bank.queuedHits[0] != 1 {
+		t.Fatalf("setup: open row %d with %d queued hits, want row 1 with 1", bank.openRow, bank.queuedHits[0])
+	}
+	if !runUntil(c, 1000, func() bool { return done == 2+fcfsWindow }) {
+		t.Fatalf("FCFS window stalled behind an out-of-window hit: %d of %d reads done by cycle %d (refreshes %d)",
+			done, 2+fcfsWindow, c.Now(), c.Stats.Refreshes)
+	}
+	if c.Stats.Refreshes != 0 {
+		t.Fatalf("a refresh ran before the reads drained (%d); the test no longer isolates the precharge rule", c.Stats.Refreshes)
+	}
+}

@@ -91,7 +91,7 @@ func (c *Controller) queueEventAt(queue []*request, next int64) int64 {
 			// Wrong row open: precharge at preReadyAt unless same-queue
 			// row hits keep the row open — then this request only moves
 			// after those hits drain, and their issues are events.
-			if bank.queuedHits[dir(r.write)] > 0 {
+			if c.hitsDeferPrecharge(queue[:limit], r, bank) {
 				continue
 			}
 			t = bank.preReadyAt
