@@ -8,14 +8,20 @@ package cache
 // Line addresses everywhere: physical address >> 6.
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
-// replacement.
+// replacement. Every per-line array is flat, indexed set*ways+way.
 type Cache struct {
 	sets  int
 	ways  int
-	tags  [][]uint64 // tags[set][way], valid bit encoded via valid slice
-	valid [][]bool
-	dirty [][]bool
-	lru   [][]int8 // lower value = more recently used
+	tags  []uint64
+	valid []bool
+	dirty []bool
+	// stamp orders each set's ways by recency: a touch stamps its way
+	// with clock and advances it, so the least recently used way of a
+	// set holds the set's smallest stamp. Stamps within a set are
+	// distinct, and their order is exactly the LRU rank order a
+	// snapshot records (see SaveState).
+	stamp []uint64
+	clock uint64
 
 	Hits   uint64
 	Misses uint64
@@ -29,28 +35,27 @@ func New(capacityBytes, ways int) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	c := &Cache{sets: sets, ways: ways}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.dirty = make([][]bool, sets)
-	c.lru = make([][]int8, sets)
-	// Each array's sets are windows of one backing allocation.
-	tags := make([]uint64, lines)
-	valid := make([]bool, lines)
-	dirty := make([]bool, lines)
-	lru := make([]int8, lines)
-	for s := 0; s < sets; s++ {
-		lo, hi := s*ways, (s+1)*ways
-		c.tags[s] = tags[lo:hi:hi]
-		c.valid[s] = valid[lo:hi:hi]
-		c.dirty[s] = dirty[lo:hi:hi]
-		c.lru[s] = lru[lo:hi:hi]
-		// LRU ranks start as a permutation; touch preserves it.
-		for w := 0; w < ways; w++ {
-			c.lru[s][w] = int8(w)
+	c := &Cache{
+		sets:  sets,
+		ways:  ways,
+		tags:  make([]uint64, lines),
+		valid: make([]bool, lines),
+		dirty: make([]bool, lines),
+		stamp: make([]uint64, lines),
+	}
+	c.resetRecency(func(_, w int) int { return w })
+	return c
+}
+
+// resetRecency stamps every way from an LRU rank (0 = most recent):
+// rank r becomes stamp ways-1-r, below the restarted clock.
+func (c *Cache) resetRecency(rank func(set, way int) int) {
+	for s := 0; s < c.sets; s++ {
+		for w := 0; w < c.ways; w++ {
+			c.stamp[s*c.ways+w] = uint64(c.ways - 1 - rank(s, w))
 		}
 	}
-	return c
+	c.clock = uint64(c.ways)
 }
 
 // Eviction describes a line displaced by a fill.
@@ -60,92 +65,91 @@ type Eviction struct {
 	Valid    bool
 }
 
-func (c *Cache) set(lineAddr uint64) int { return int(lineAddr) & (c.sets - 1) }
+// base returns the flat index of way 0 of lineAddr's set.
+func (c *Cache) base(lineAddr uint64) int { return (int(lineAddr) & (c.sets - 1)) * c.ways }
+
+// find returns the flat index of lineAddr's valid way, or -1.
+func (c *Cache) find(lineAddr uint64) int {
+	b := c.base(lineAddr)
+	tags := c.tags[b : b+c.ways]
+	valid := c.valid[b : b+len(tags)]
+	for w, tag := range tags {
+		if tag == lineAddr && valid[w] {
+			return b + w
+		}
+	}
+	return -1
+}
 
 // Lookup probes the cache; on hit it updates LRU and optionally marks the
 // line dirty.
 func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
-	s := c.set(lineAddr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == lineAddr {
-			c.touch(s, w)
-			if markDirty {
-				c.dirty[s][w] = true
-			}
-			c.Hits++
-			return true
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		c.Misses++
+		return false
 	}
-	c.Misses++
-	return false
+	c.touch(i)
+	if markDirty {
+		c.dirty[i] = true
+	}
+	c.Hits++
+	return true
 }
 
 // Contains probes without updating any state.
-func (c *Cache) Contains(lineAddr uint64) bool {
-	s := c.set(lineAddr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == lineAddr {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
 
 // Fill inserts a line (after a miss), returning the eviction it displaced.
 func (c *Cache) Fill(lineAddr uint64, dirty bool) Eviction {
-	s := c.set(lineAddr)
 	// Already present (racing fills): refresh state.
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == lineAddr {
-			c.touch(s, w)
-			if dirty {
-				c.dirty[s][w] = true
-			}
-			return Eviction{}
+	if i := c.find(lineAddr); i >= 0 {
+		c.touch(i)
+		if dirty {
+			c.dirty[i] = true
 		}
+		return Eviction{}
 	}
+	// The victim is the first invalid way, else the least recent.
+	b := c.base(lineAddr)
+	valid := c.valid[b : b+c.ways]
+	stamp := c.stamp[b : b+len(valid)]
 	victim := 0
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[s][w] {
+	for w, v := range valid {
+		if !v {
 			victim = w
 			break
 		}
-		if c.lru[s][w] > c.lru[s][victim] {
+		if stamp[w] < stamp[victim] {
 			victim = w
 		}
 	}
-	ev := Eviction{LineAddr: c.tags[s][victim], Dirty: c.dirty[s][victim], Valid: c.valid[s][victim]}
-	c.tags[s][victim] = lineAddr
-	c.valid[s][victim] = true
-	c.dirty[s][victim] = dirty
-	c.touch(s, victim)
+	i := b + victim
+	ev := Eviction{LineAddr: c.tags[i], Dirty: c.dirty[i], Valid: c.valid[i]}
+	c.tags[i] = lineAddr
+	c.valid[i] = true
+	c.dirty[i] = dirty
+	c.touch(i)
 	return ev
 }
 
 // Invalidate removes a line (inclusive-hierarchy back-invalidation),
 // reporting whether it was present and dirty.
 func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	s := c.set(lineAddr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == lineAddr {
-			c.valid[s][w] = false
-			d := c.dirty[s][w]
-			c.dirty[s][w] = false
-			return true, d
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	c.valid[i] = false
+	d := c.dirty[i]
+	c.dirty[i] = false
+	return true, d
 }
 
-// touch makes way w the MRU of set s.
-func (c *Cache) touch(s, w int) {
-	cur := c.lru[s][w]
-	for i := 0; i < c.ways; i++ {
-		if c.lru[s][i] < cur {
-			c.lru[s][i]++
-		}
-	}
-	c.lru[s][w] = 0
+// touch makes the way at flat index i the MRU of its set.
+func (c *Cache) touch(i int) {
+	c.stamp[i] = c.clock
+	c.clock++
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ type State struct {
 	Misses uint64     `json:"misses"`
 }
 
-// SaveState deep-copies the cache contents.
+// SaveState deep-copies the cache contents. Each way's LRU rank is the
+// number of ways in its set touched more recently.
 func (c *Cache) SaveState() State {
 	st := State{
 		Tags:   make([][]uint64, c.sets),
@@ -26,37 +27,54 @@ func (c *Cache) SaveState() State {
 		Misses: c.Misses,
 	}
 	for s := 0; s < c.sets; s++ {
-		st.Tags[s] = append([]uint64(nil), c.tags[s]...)
-		st.Valid[s] = append([]bool(nil), c.valid[s]...)
-		st.Dirty[s] = append([]bool(nil), c.dirty[s]...)
-		st.LRU[s] = append([]int8(nil), c.lru[s]...)
+		lo, hi := s*c.ways, (s+1)*c.ways
+		st.Tags[s] = append([]uint64(nil), c.tags[lo:hi]...)
+		st.Valid[s] = append([]bool(nil), c.valid[lo:hi]...)
+		st.Dirty[s] = append([]bool(nil), c.dirty[lo:hi]...)
+		st.LRU[s] = make([]int8, c.ways)
+		stamps := c.stamp[lo:hi]
+		for w, sw := range stamps {
+			for _, so := range stamps {
+				if so > sw {
+					st.LRU[s][w]++
+				}
+			}
+		}
 	}
 	return st
 }
 
 // RestoreState overwrites the cache contents from a snapshot taken on a
-// cache of the same geometry.
+// cache of the same geometry. Each set's LRU ranks must be a permutation
+// of [0,ways): a tie has no recency order to restore.
 func (c *Cache) RestoreState(st State) error {
 	if len(st.Tags) != c.sets || len(st.Valid) != c.sets || len(st.Dirty) != c.sets || len(st.LRU) != c.sets {
 		return fmt.Errorf("cache: snapshot has %d/%d/%d/%d sets, cache has %d",
 			len(st.Tags), len(st.Valid), len(st.Dirty), len(st.LRU), c.sets)
 	}
+	seen := make([]bool, c.ways)
 	for s := 0; s < c.sets; s++ {
 		if len(st.Tags[s]) != c.ways || len(st.Valid[s]) != c.ways || len(st.Dirty[s]) != c.ways || len(st.LRU[s]) != c.ways {
 			return fmt.Errorf("cache: snapshot set %d has wrong associativity", s)
 		}
-		for w := 0; w < c.ways; w++ {
-			if r := st.LRU[s][w]; r < 0 || int(r) >= c.ways {
+		clear(seen)
+		for w, r := range st.LRU[s] {
+			if r < 0 || int(r) >= c.ways {
 				return fmt.Errorf("cache: snapshot set %d way %d has LRU rank %d outside [0,%d)", s, w, r, c.ways)
 			}
+			if seen[r] {
+				return fmt.Errorf("cache: snapshot set %d has duplicate LRU rank %d", s, r)
+			}
+			seen[r] = true
 		}
 	}
 	for s := 0; s < c.sets; s++ {
-		copy(c.tags[s], st.Tags[s])
-		copy(c.valid[s], st.Valid[s])
-		copy(c.dirty[s], st.Dirty[s])
-		copy(c.lru[s], st.LRU[s])
+		lo := s * c.ways
+		copy(c.tags[lo:], st.Tags[s])
+		copy(c.valid[lo:], st.Valid[s])
+		copy(c.dirty[lo:], st.Dirty[s])
 	}
+	c.resetRecency(func(s, w int) int { return int(st.LRU[s][w]) })
 	c.Hits = st.Hits
 	c.Misses = st.Misses
 	return nil

@@ -33,8 +33,12 @@ const fcfsWindow = 4
 
 // Request is one line-sized memory command.
 type request struct {
-	lineAddr  uint64
-	coord     dram.Coord
+	lineAddr uint64
+	coord    dram.Coord
+	// bank is coord's bank state, set when the request joins a queue
+	// (after any remap) and cleared by release. c.banks is allocated once
+	// and retirement remaps only rows, so the pointer never goes stale.
+	bank      *bankState
 	enqueued  int64
 	write     bool
 	actIssued bool
@@ -79,9 +83,20 @@ func (b *bankState) closeRow() {
 // countQueued adjusts queuedHits for request r joining (delta +1) or
 // leaving (delta -1) its queue.
 func (c *Controller) countQueued(r *request, delta int32) {
-	if bank := &c.banks[r.coord.Rank][r.coord.Bank]; bank.openRow == r.coord.Row {
-		bank.queuedHits[dir(r.write)] += delta
+	if r.bank.openRow == r.coord.Row {
+		r.bank.queuedHits[dir(r.write)] += delta
 	}
+}
+
+// enqueue appends a decoded request to its queue, binding its bank.
+func (c *Controller) enqueue(r *request) {
+	r.bank = &c.banks[r.coord.Rank][r.coord.Bank]
+	if r.write {
+		c.writeQ = append(c.writeQ, r)
+	} else {
+		c.readQ = append(c.readQ, r)
+	}
+	c.countQueued(r, 1)
 }
 
 // setOpenRow opens coord's row on its bank and counts the queued
@@ -92,7 +107,7 @@ func (c *Controller) setOpenRow(bank *bankState, coord dram.Coord) {
 	bank.queuedHits = [2]int32{}
 	for q, queue := range [2][]*request{c.readQ, c.writeQ} {
 		for _, r := range queue {
-			if r.coord.Rank == coord.Rank && r.coord.Bank == coord.Bank && r.coord.Row == coord.Row {
+			if r.bank == bank && r.coord.Row == coord.Row {
 				bank.queuedHits[q]++
 			}
 		}
@@ -306,8 +321,7 @@ func (c *Controller) enqueueRead(lineAddr, token uint64, hasToken bool, callback
 	}
 	r.coord = c.mapper.Decode(r.lineAddr)
 	r.remapped = c.applyRemap(&r.coord)
-	c.readQ = append(c.readQ, r)
-	c.countQueued(r, 1)
+	c.enqueue(r)
 	if d := len(c.readQ); d > c.Stats.MaxReadQueueDepth {
 		c.Stats.MaxReadQueueDepth = d
 	}
@@ -329,8 +343,7 @@ func (c *Controller) EnqueueWrite(lineAddr uint64) bool {
 	r := c.newRequest()
 	r.lineAddr, r.coord, r.enqueued, r.write = lineAddr, c.mapper.Decode(lineAddr), c.now, true
 	r.remapped = c.applyRemap(&r.coord)
-	c.writeQ = append(c.writeQ, r)
-	c.countQueued(r, 1)
+	c.enqueue(r)
 	c.tel.writeDepth.Observe(int64(len(c.writeQ)))
 	return true
 }
@@ -473,18 +486,29 @@ func (c *Controller) updateDrainMode() {
 // schedule implements FR-FCFS over one queue: first the oldest issuable
 // row-hit column command, else progress the oldest request (ACT or PRE).
 func (c *Controller) schedule(queue []*request) {
-	// Pass 1: row-hit column commands, oldest first. Under FCFS only a
-	// small in-order window is eligible for scheduling at all.
-	limit := len(queue)
-	if c.FCFS && limit > fcfsWindow {
-		limit = fcfsWindow
+	if len(queue) == 0 {
+		return
 	}
-	for i, r := range queue[:limit] {
-		bank := &c.banks[r.coord.Rank][r.coord.Bank]
-		if len(c.vrrQ) > 0 && c.hasPendingVRR(r.coord.Rank, r.coord.Bank) {
-			continue // the bank yields to its pending victim-row refresh
-		}
-		if bank.openRow == r.coord.Row && c.canIssueColumn(r, bank) {
+	// Under FCFS only a small in-order window is eligible for scheduling
+	// at all.
+	window := queue
+	if c.FCFS && len(window) > fcfsWindow {
+		window = window[:fcfsWindow]
+	}
+	// Pass 1: row-hit column commands, oldest first. A queue holds one
+	// direction, so the shared data bus admits a column command for every
+	// request in it or for none: when it admits none, pass 1 cannot issue
+	// and is skipped.
+	write := queue[0].write
+	if c.busAdmitsColumn(write) {
+		for i, r := range window {
+			bank := r.bank
+			if bank.openRow != r.coord.Row || c.now < bank.columnReadyAt(write) {
+				continue
+			}
+			if len(c.vrrQ) > 0 && c.hasPendingVRR(r.coord.Rank, r.coord.Bank) {
+				continue // the bank yields to its pending victim-row refresh
+			}
 			c.issueColumn(r, bank)
 			c.removeFromQueue(queue, i)
 			// A request that needed its own ACT is a row miss; one that
@@ -504,20 +528,20 @@ func (c *Controller) schedule(queue []*request) {
 	}
 	// Pass 2: progress requests in age order — activate a precharged
 	// bank or precharge a wrong-row bank.
-	for _, r := range queue[:limit] {
-		bank := &c.banks[r.coord.Rank][r.coord.Bank]
-		rank := &c.ranks[r.coord.Rank]
+	for _, r := range window {
+		bank := r.bank
 		if len(c.vrrQ) > 0 && c.hasPendingVRR(r.coord.Rank, r.coord.Bank) {
 			continue
 		}
 		if bank.openRow == -1 {
+			rank := &c.ranks[r.coord.Rank]
 			if c.canActivate(bank, rank) && c.allowAct(r.coord.Rank, r.coord.Bank, r.coord.Row) {
 				c.activate(r, bank, rank)
 				return
 			}
 			continue
 		}
-		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && !c.hitsDeferPrecharge(queue[:limit], r, bank) {
+		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && !c.hitsDeferPrecharge(window, r, bank) {
 			bank.closeRow()
 			bank.actReadyAt = maxI64(bank.actReadyAt, c.now+int64(c.tm.TRP))
 			return
@@ -537,7 +561,7 @@ func (c *Controller) hitsDeferPrecharge(window []*request, r *request, bank *ban
 		return bank.queuedHits[dir(r.write)] > 0
 	}
 	for _, w := range window {
-		if w.coord.Rank == r.coord.Rank && w.coord.Bank == r.coord.Bank && w.coord.Row == bank.openRow {
+		if w.bank == bank && w.coord.Row == bank.openRow {
 			return true
 		}
 	}
@@ -570,19 +594,28 @@ func (c *Controller) activate(r *request, bank *bankState, rank *rankState) {
 	c.dispatch(CmdACT, r.coord.Rank, r.coord.Bank, r.coord.Row)
 }
 
-func (c *Controller) canIssueColumn(r *request, bank *bankState) bool {
-	if r.write {
-		if c.now < bank.wrReadyAt {
-			return false
-		}
-		dataStart := c.now + int64(c.tm.TCWL)
-		return dataStart >= c.busNeed(true)
+// columnReadyAt is the first cycle the bank accepts a column command in
+// the given direction.
+func (b *bankState) columnReadyAt(write bool) int64 {
+	if write {
+		return b.wrReadyAt
 	}
-	if c.now < bank.rdReadyAt {
-		return false
+	return b.rdReadyAt
+}
+
+// columnLatency is the command-to-data delay of a column command: tCWL
+// for a write, tCL for a read.
+func (c *Controller) columnLatency(write bool) int64 {
+	if write {
+		return int64(c.tm.TCWL)
 	}
-	dataStart := c.now + int64(c.tm.TCL)
-	return dataStart >= c.busNeed(false)
+	return int64(c.tm.TCL)
+}
+
+// busAdmitsColumn reports whether a column command issued this cycle
+// would find the shared data bus free when its data starts.
+func (c *Controller) busAdmitsColumn(write bool) bool {
+	return c.now+c.columnLatency(write) >= c.busNeed(write)
 }
 
 // busNeed returns the earliest data-start time the shared bus allows for

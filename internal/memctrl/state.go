@@ -282,11 +282,11 @@ func (c *Controller) RestoreState(st *ControllerState) error {
 			}
 		}
 	}
-	for _, r := range c.readQ {
-		c.countQueued(r, 1)
-	}
-	for _, r := range c.writeQ {
-		c.countQueued(r, 1)
+	for _, q := range [2][]*request{c.readQ, c.writeQ} {
+		for _, r := range q {
+			r.bank = &c.banks[r.coord.Rank][r.coord.Bank]
+			c.countQueued(r, 1)
+		}
 	}
 	for r := range c.ranks {
 		s := st.Ranks[r]

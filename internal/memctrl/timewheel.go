@@ -66,12 +66,18 @@ func (c *Controller) NextEventAt() int64 {
 // next. Mirrors schedule(): row-hit column issue, activation of a
 // closed bank, or precharge of a wrong-row bank.
 func (c *Controller) queueEventAt(queue []*request, next int64) int64 {
-	limit := len(queue)
-	if c.FCFS && limit > fcfsWindow {
-		limit = fcfsWindow
+	if len(queue) == 0 {
+		return next
 	}
-	for _, r := range queue[:limit] {
-		bank := &c.banks[r.coord.Rank][r.coord.Bank]
+	window := queue
+	if c.FCFS && len(window) > fcfsWindow {
+		window = window[:fcfsWindow]
+	}
+	// The queue's one direction fixes the bus's earliest column issue.
+	write := queue[0].write
+	busAt := c.busNeed(write) - c.columnLatency(write)
+	for _, r := range window {
+		bank := r.bank
 		if len(c.vrrQ) > 0 && c.hasPendingVRR(r.coord.Rank, r.coord.Bank) {
 			// The bank yields to its pending VRR; the VRR's own progress
 			// time is already a candidate.
@@ -80,18 +86,14 @@ func (c *Controller) queueEventAt(queue []*request, next int64) int64 {
 		var t int64
 		switch {
 		case bank.openRow == r.coord.Row:
-			if r.write {
-				t = maxI64(bank.wrReadyAt, c.busNeed(true)-int64(c.tm.TCWL))
-			} else {
-				t = maxI64(bank.rdReadyAt, c.busNeed(false)-int64(c.tm.TCL))
-			}
+			t = maxI64(bank.columnReadyAt(write), busAt)
 		case bank.openRow == -1:
 			t = c.activateReadyAt(bank, &c.ranks[r.coord.Rank])
 		default:
 			// Wrong row open: precharge at preReadyAt unless same-queue
 			// row hits keep the row open — then this request only moves
 			// after those hits drain, and their issues are events.
-			if c.hitsDeferPrecharge(queue[:limit], r, bank) {
+			if c.hitsDeferPrecharge(window, r, bank) {
 				continue
 			}
 			t = bank.preReadyAt
