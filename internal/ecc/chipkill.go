@@ -8,26 +8,6 @@ import (
 	"safeguard/internal/rs"
 )
 
-// Chip layout for x4 Chipkill DIMMs (Figure 8a): 18 devices per rank.
-// Data chip c (0..15) supplies nibble c of every 64-bit beat; over a whole
-// line that is line nibbles {16*w + c : w = 0..7}, 32 bits per chip. The two
-// extra devices hold the code's check symbols (conventional Chipkill) or the
-// MAC and chip-wise parity (SafeGuard).
-const (
-	// ChipkillDataChips is the number of x4 data devices.
-	ChipkillDataChips = 16
-	// ChipkillChips is the total device count including the two check chips.
-	ChipkillChips = 18
-)
-
-// dataNibble returns the nibble chip c supplies in beat w.
-func dataNibble(l bits.Line, c, w int) uint8 { return l.Nibble(16*w + c) }
-
-// withDataNibble replaces the nibble chip c supplies in beat w.
-func withDataNibble(l bits.Line, c, w int, v uint8) bits.Line {
-	return l.WithNibble(16*w+c, v)
-}
-
 // Chipkill is the conventional symbol-based SSC-DSD baseline. Pairs of
 // beats are combined so each device contributes one 8-bit symbol to an
 // RS(18,16) codeword over GF(256): 16 data symbols plus the 2 check symbols
@@ -52,20 +32,8 @@ func (c *Chipkill) MetaBits() int { return 64 }
 // ExtraDataBits implements Codec.
 func (c *Chipkill) ExtraDataBits() int { return 0 }
 
-// chipSymbol builds device c's 8-bit symbol for beat pair p (beats 2p and
-// 2p+1).
-func chipSymbol(l bits.Line, c, p int) uint8 {
-	return dataNibble(l, c, 2*p) | dataNibble(l, c, 2*p+1)<<4
-}
-
-func withChipSymbol(l bits.Line, c, p int, v uint8) bits.Line {
-	l = withDataNibble(l, c, 2*p, v&0xF)
-	return withDataNibble(l, c, 2*p+1, v>>4)
-}
-
-// Encode computes the four codewords' check symbols. Byte 2p+i of the
-// result is check symbol i of beat pair p; check symbol i lives on device
-// 16+i.
+// Encode computes the four codewords' check symbols, placed by
+// checkSymbolBit.
 func (c *Chipkill) Encode(line bits.Line, addr uint64) uint64 {
 	var meta uint64
 	data := make([]uint8, ChipkillDataChips)
@@ -74,8 +42,9 @@ func (c *Chipkill) Encode(line bits.Line, addr uint64) uint64 {
 			data[ch] = chipSymbol(line, ch, p)
 		}
 		par := c.code.Encode(data)
-		meta |= uint64(par[0]) << (16 * uint(p))
-		meta |= uint64(par[1]) << (16*uint(p) + 8)
+		for i, sym := range par {
+			meta |= uint64(sym) << checkSymbolBit(p, i)
+		}
 	}
 	return meta
 }
@@ -89,8 +58,9 @@ func (c *Chipkill) Decode(stored bits.Line, meta uint64, addr uint64) Result {
 		for ch := 0; ch < ChipkillDataChips; ch++ {
 			cw[ch] = chipSymbol(stored, ch, p)
 		}
-		cw[16] = uint8(meta >> (16 * uint(p)))
-		cw[17] = uint8(meta >> (16*uint(p) + 8))
+		for i := range cw[ChipkillDataChips:] {
+			cw[ChipkillDataChips+i] = uint8(meta >> checkSymbolBit(p, i))
+		}
 		st, _ := c.code.Decode(cw)
 		switch st {
 		case rs.Corrected:

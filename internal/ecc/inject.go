@@ -9,14 +9,7 @@ import (
 // Fault-injection helpers used by the resiliency-matrix experiment (Table
 // IV), the Row-Hammer experiments, and the test suite. Each helper corrupts
 // a (stored line, metadata) pair the way the named DRAM fault mode would,
-// for the module geometry the scheme runs on.
-//
-// x8 geometry (SECDED-family): chip c in 0..7 supplies byte c of every
-// beat; chip 8 is the ECC chip (the 64 metadata bits). A pin (column) is
-// one DQ line: bit p of chip c is line-word bit 8c+p in every beat.
-//
-// x4 geometry (Chipkill-family): chip c in 0..15 supplies nibble c of every
-// beat; chip 16 holds metadata bits 0..31 and chip 17 bits 32..63.
+// for the module geometry (geometry.go) the scheme runs on.
 
 // FlipDataBit flips one data bit of the stored line.
 func FlipDataBit(line *bits.Line, bit int) {
@@ -33,11 +26,11 @@ func FlipMetaBit(meta *uint64, bit int) {
 // 72-bit word. A random nonzero mask is applied.
 func InjectWordFaultX8(line *bits.Line, meta *uint64, chip, beat int, rng *rand.Rand) {
 	mask := uint8(1 + rng.Uint64()%255)
-	if chip == 8 {
+	if chip == x8ECCChip {
 		*meta ^= uint64(mask) << (8 * uint(beat))
 		return
 	}
-	*line = line.WithByte(8*beat+chip, line.Byte(8*beat+chip)^mask)
+	*line = withX8ChipByte(*line, chip, beat, x8ChipByte(*line, chip, beat)^mask)
 }
 
 // InjectColumnFaultX8 corrupts pin `pin` (0..7) of chip `chip` (0..8) in
@@ -51,7 +44,7 @@ func InjectColumnFaultX8(line *bits.Line, meta *uint64, chip, pin int, rng *rand
 	if flips == 0 {
 		flips = 1 << (rng.Uint64() % 8)
 	}
-	if chip == 8 {
+	if chip == x8ECCChip {
 		for b := 0; b < 8; b++ {
 			if flips&(1<<uint(b)) != 0 {
 				*meta ^= 1 << (8*uint(b) + uint(pin))
@@ -59,15 +52,14 @@ func InjectColumnFaultX8(line *bits.Line, meta *uint64, chip, pin int, rng *rand
 		}
 		return
 	}
-	k := 8*chip + pin // word-bit index of this pin
-	sym := line.PinSymbol(k)
-	*line = line.WithPinSymbol(k, sym^flips)
+	k := x8Pin(chip, pin)
+	*line = line.WithPinSymbol(k, line.PinSymbol(k)^flips)
 }
 
 // InjectChipFaultX8 corrupts arbitrary bits across chip `chip` (0..8): the
 // row/bank/multi-bank pattern as seen by one line.
 func InjectChipFaultX8(line *bits.Line, meta *uint64, chip int, rng *rand.Rand) {
-	if chip == 8 {
+	if chip == x8ECCChip {
 		m := rng.Uint64()
 		if m == 0 {
 			m = 1
@@ -81,17 +73,16 @@ func InjectChipFaultX8(line *bits.Line, meta *uint64, chip int, rng *rand.Rand) 
 		if mask != 0 {
 			changed = true
 		}
-		*line = line.WithByte(8*w+chip, line.Byte(8*w+chip)^mask)
+		*line = withX8ChipByte(*line, chip, w, x8ChipByte(*line, chip, w)^mask)
 	}
 	if !changed {
-		*line = line.WithByte(chip, line.Byte(chip)^1)
+		*line = withX8ChipByte(*line, chip, 0, x8ChipByte(*line, chip, 0)^1)
 	}
 }
 
 // InjectChipFaultChipkillRS corrupts arbitrary bits across x4 chip `chip`
-// (0..17) under the *conventional Chipkill* metadata layout, where check
-// symbol 0 of beat pair p (device 16) occupies meta bits [16p, 16p+8) and
-// check symbol 1 (device 17) bits [16p+8, 16p+16).
+// (0..17) under the *conventional Chipkill* metadata layout: device 16+i
+// holds check symbol i of every beat pair.
 func InjectChipFaultChipkillRS(line *bits.Line, meta *uint64, chip int, rng *rand.Rand) {
 	if chip < ChipkillDataChips {
 		InjectChipFaultX4(line, meta, chip, rng)
@@ -104,16 +95,16 @@ func InjectChipFaultChipkillRS(line *bits.Line, meta *uint64, chip int, rng *ran
 		if mask != 0 {
 			changed = true
 		}
-		*meta ^= uint64(mask) << (16*uint(p) + 8*uint(lane))
+		*meta ^= uint64(mask) << checkSymbolBit(p, lane)
 	}
 	if !changed {
-		*meta ^= 1 << (8 * uint(lane))
+		*meta ^= 1 << checkSymbolBit(0, lane)
 	}
 }
 
 // InjectChipFaultX4 corrupts arbitrary bits across x4 chip `chip` (0..17)
-// under the SafeGuard-Chipkill layout (device 16 = MAC in meta bits 0..31,
-// device 17 = parity in bits 32..63).
+// under the SafeGuard-Chipkill metadata layout (MAC on device 16, parity on
+// device 17).
 func InjectChipFaultX4(line *bits.Line, meta *uint64, chip int, rng *rand.Rand) {
 	switch chip {
 	case macChip:

@@ -43,12 +43,6 @@ func (p CorrectionPolicy) String() string {
 	}
 }
 
-// Chip indices for the two metadata devices.
-const (
-	macChip    = 16
-	parityChip = 17
-)
-
 // SpareLines is the number of controller spare-line entries provisioned per
 // footnote 2 of the paper ("a few (4-5) spare lines").
 const SpareLines = 4

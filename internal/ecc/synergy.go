@@ -21,8 +21,8 @@ type SynergyStyleMAC struct {
 	lastBadChip  int
 }
 
-// synergyChips is 8 data devices plus the MAC device.
-const synergyChips = 9
+// synergyChips is the 8 data devices plus the MAC device (the x8 ECC chip).
+const synergyChips = x8ECCChip + 1
 
 // NewSynergyStyleMAC builds the Synergy-style organization.
 func NewSynergyStyleMAC(keyed *mac.Keyed) *SynergyStyleMAC {
@@ -38,22 +38,13 @@ func (s *SynergyStyleMAC) MetaBits() int { return 64 }
 // ExtraDataBits implements Codec: 64-bit parity per line in data memory.
 func (s *SynergyStyleMAC) ExtraDataBits() int { return 64 }
 
-// x8 layout: data chip c (0..7) supplies byte c of every beat, i.e. line
-// bytes {8*w + c}. The MAC chip supplies byte w of the MAC in beat w.
-
-func x8ChipByte(l bits.Line, c, w int) uint8 { return l.Byte(8*w + c) }
-
-func withX8ChipByte(l bits.Line, c, w int, v uint8) bits.Line {
-	return l.WithByte(8*w+c, v)
-}
-
 // synergyParity computes the chip-wise parity byte per beat over the 8 data
 // chips and the MAC chip.
 func synergyParity(line bits.Line, mac64 uint64) uint64 {
 	var par uint64
 	for w := 0; w < bits.LineWords; w++ {
 		var b uint8
-		for c := 0; c < 8; c++ {
+		for c := 0; c < x8DataChips; c++ {
 			b ^= x8ChipByte(line, c, w)
 		}
 		b ^= uint8(mac64 >> (8 * uint(w)))
@@ -70,14 +61,14 @@ func (s *SynergyStyleMAC) Encode(line bits.Line, addr uint64) uint64 {
 	return m
 }
 
-// reconstruct rebuilds chip c (0..7 data, 8 = MAC chip) from the remote
-// parity.
+// reconstruct rebuilds chip c (a data chip or the MAC chip x8ECCChip) from
+// the remote parity.
 func (s *SynergyStyleMAC) reconstruct(stored bits.Line, storedMAC, parity uint64, chip int) (bits.Line, uint64) {
-	if chip == 8 {
+	if chip == x8ECCChip {
 		var newMAC uint64
 		for w := 0; w < bits.LineWords; w++ {
 			b := uint8(parity >> (8 * uint(w)))
-			for c := 0; c < 8; c++ {
+			for c := 0; c < x8DataChips; c++ {
 				b ^= x8ChipByte(stored, c, w)
 			}
 			newMAC |= uint64(b) << (8 * uint(w))
@@ -88,7 +79,7 @@ func (s *SynergyStyleMAC) reconstruct(stored bits.Line, storedMAC, parity uint64
 	for w := 0; w < bits.LineWords; w++ {
 		b := uint8(parity >> (8 * uint(w)))
 		b ^= uint8(storedMAC >> (8 * uint(w)))
-		for c := 0; c < 8; c++ {
+		for c := 0; c < x8DataChips; c++ {
 			if c != chip {
 				b ^= x8ChipByte(stored, c, w)
 			}
