@@ -110,7 +110,8 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/memctrl:FuzzEngineEquivalence \
 	./internal/snapshot:FuzzSnapshotRoundTrip ./internal/snapshot:FuzzSnapshotReader \
 	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix \
-	./internal/telemetry:FuzzParseEvent ./internal/telemetry:FuzzReadTraceFile
+	./internal/telemetry:FuzzParseEvent ./internal/telemetry:FuzzReadTraceFile \
+	./internal/resultcache:FuzzParseRequest ./internal/resultcache:FuzzReadArtifact
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -243,11 +244,14 @@ fleet-chaos:
 # security gate reads, and rowhammer is the disturbance model behind
 # Figure 1b and the BlockHammer study, and sim is the timing model behind
 # every slowdown figure (its coverage includes the per-cycle reference
-# loop the skip-ahead proofs compare against), so regressions there must
-# not land untested.
+# loop the skip-ahead proofs compare against), and ecc holds the codecs,
+# fault injectors and DIMM device layout that every reliability and
+# Table IV number decodes through, so regressions there must not land
+# untested.
 COVER_GATE_PKGS := ./internal/telemetry ./internal/response ./internal/attrib \
 	./internal/jobs ./internal/resultcache ./internal/fleet ./internal/snapshot \
-	./internal/payload ./internal/synth ./internal/rowhammer ./internal/sim
+	./internal/payload ./internal/synth ./internal/rowhammer ./internal/sim \
+	./internal/ecc
 COVER_GATE_MIN  := 85
 cover:
 	@$(GO) test -cover $(COVER_GATE_PKGS) | awk -v min=$(COVER_GATE_MIN) ' \

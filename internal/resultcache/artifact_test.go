@@ -9,7 +9,7 @@ import (
 
 // fakePerfResult builds a syntactically valid PerfWire payload without
 // running a simulation.
-func fakePerfResult(t *testing.T) json.RawMessage {
+func fakePerfResult(t testing.TB) json.RawMessage {
 	t.Helper()
 	raw, err := json.Marshal(PerfWire{
 		Schemes: []string{"SafeGuard"},

@@ -123,6 +123,8 @@ func TestMakeFuzzTargetsPackageQualified(t *testing.T) {
 		"./internal/synth:FuzzParseMatrix",
 		"./internal/telemetry:FuzzParseEvent",
 		"./internal/telemetry:FuzzReadTraceFile",
+		"./internal/resultcache:FuzzParseRequest",
+		"./internal/resultcache:FuzzReadArtifact",
 	} {
 		if !strings.Contains(mf, want) {
 			t.Errorf("FUZZ_TARGETS missing %q", want)
@@ -176,7 +178,7 @@ func TestMakeCIComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth", "./internal/rowhammer", "./internal/sim"} {
+	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth", "./internal/rowhammer", "./internal/sim", "./internal/ecc"} {
 		if !strings.Contains(string(raw), pkg) {
 			t.Errorf("coverage gate dropped %s", pkg)
 		}
