@@ -4,8 +4,8 @@ import "safeguard/internal/bits"
 
 // Device layout of one line on the two ECC DIMM organizations (Figures 3
 // and 8). The line travels as eight 64-bit beats (beat w is line word w) and
-// its 64 metadata bits ride on the extra devices. Every codec and injector
-// in this package reads the layout through the helpers below.
+// its 64 metadata bits ride on the extra devices. The chip-level codecs and
+// the fault injectors in this package read the layout through these helpers.
 //
 // x8 DIMM (SECDED family), 9 devices: data chip c (0..7) supplies byte c of
 // every beat, i.e. line bytes {8w + c}. Pin p of chip c is word bit 8c+p in
