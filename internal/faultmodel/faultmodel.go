@@ -161,64 +161,89 @@ func (f Fault) SpansAllRows() bool { return f.Row < 0 }
 // SpansAllCols reports whether the fault covers every column.
 func (f Fault) SpansAllCols() bool { return f.Col < 0 }
 
-// Sampler draws fault arrivals for one module lifetime.
+// Sampler draws fault arrivals for one module lifetime. Everything a draw
+// depends on besides the rng — the rates, FIT scale, geometry and
+// deployment hours — is fixed at construction into a per-mode plan, so a
+// Sampler is immutable and safe for concurrent use.
 type Sampler struct {
 	geom  ModuleGeometry
-	rates map[Mode]Rate
-	// fitScale multiplies every rate (the 10x study of Figure 10).
-	fitScale float64
+	hours float64
+	// plan holds each mode's precomputed Poisson parameters, indexed by
+	// Mode and walked in Table III order.
+	plan [numModes]modePlan
 }
 
-// NewSampler builds a sampler for the geometry with the given rates and a
-// FIT multiplier (1.0 for Table III as published).
-func NewSampler(geom ModuleGeometry, rates map[Mode]Rate, fitScale float64) *Sampler {
-	return &Sampler{geom: geom, rates: rates, fitScale: fitScale}
+// modePlan is one mode's share of the per-study sampling plan.
+type modePlan struct {
+	// total and transient are the mode's per-device FIT: Rate.Total()
+	// and Rate.Transient.
+	total, transient float64
+	// draws is false when the mode's mean arrival count λ is not positive:
+	// the mode then draws nothing, not even the Poisson variate.
+	draws bool
+	// expNegLambda is exp(-λ), the inversion threshold poisson stops at.
+	expNegLambda float64
+}
+
+// NewSampler builds a sampler for a module deployed `hours` operating
+// hours, with the given rates and a FIT multiplier (1.0 for Table III as
+// published).
+func NewSampler(geom ModuleGeometry, rates map[Mode]Rate, fitScale, hours float64) *Sampler {
+	s := &Sampler{geom: geom, hours: hours}
+	devices := geom.Devices()
+	for _, mode := range Modes {
+		rate := rates[mode]
+		lambdaPerChip := rate.Total() * 1e-9 * hours * fitScale
+		// MultiRank faults are module-level events tied to a chip
+		// *position*; sample per position rather than per chip.
+		population := devices
+		if mode == MultiRank {
+			population = geom.ChipsPerRank
+		}
+		lambda := lambdaPerChip * float64(population)
+		s.plan[mode] = modePlan{total: rate.Total(), transient: rate.Transient, draws: lambda > 0, expNegLambda: math.Exp(-lambda)}
+	}
+	return s
 }
 
 // Geometry returns the module geometry the sampler draws for.
 func (s *Sampler) Geometry() ModuleGeometry { return s.geom }
 
-// poisson draws a Poisson variate with mean lambda (inversion by sequential
-// search; lambda here is always small, well under 1).
-func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	l := math.Exp(-lambda)
+// poisson draws a Poisson variate whose mean λ satisfies expNegLambda =
+// exp(-λ) (inversion by sequential search; λ here is always small, well
+// under 1).
+func poisson(rng *rand.Rand, expNegLambda float64) int {
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= expNegLambda {
 			return k
 		}
 		k++
 	}
 }
 
-// SampleLifetime draws every fault the module experiences during `hours`
-// operating hours. The result is ordered by arrival time.
-func (s *Sampler) SampleLifetime(rng *rand.Rand, hours float64) []Fault {
-	var faults []Fault
-	devices := s.geom.Devices()
-	for _, mode := range Modes {
-		rate := s.rates[mode]
-		lambdaPerChip := rate.Total() * 1e-9 * hours * s.fitScale
-		// MultiRank faults are module-level events tied to a chip
-		// *position*; sample per position rather than per chip.
-		population := devices
-		if mode == MultiRank {
-			population = s.geom.ChipsPerRank
+// SampleLifetime draws every fault one module experiences over the
+// sampler's deployment hours and appends them to dst, ordered by arrival
+// time. It returns the extended slice; passing a reused buffer's dst[:0]
+// makes the draw allocation-free once the buffer has grown.
+func (s *Sampler) SampleLifetime(rng *rand.Rand, dst []Fault) []Fault {
+	start := len(dst)
+	for mode := range s.plan {
+		mp := &s.plan[mode]
+		if !mp.draws {
+			continue
 		}
-		n := poisson(rng, lambdaPerChip*float64(population))
+		n := poisson(rng, mp.expNegLambda)
 		for i := 0; i < n; i++ {
-			f := s.place(rng, mode)
-			f.Hours = rng.Float64() * hours
-			f.Transient = rng.Float64()*rate.Total() < rate.Transient
-			faults = append(faults, f)
+			f := s.place(rng, Mode(mode))
+			f.Hours = rng.Float64() * s.hours
+			f.Transient = rng.Float64()*mp.total < mp.transient
+			dst = append(dst, f)
 		}
 	}
-	sortByTime(faults)
-	return faults
+	sortByTime(dst[start:])
+	return dst
 }
 
 // place picks uniform coordinates for a fault of the given mode.

@@ -69,15 +69,32 @@ func TestPoissonMean(t *testing.T) {
 		const n = 200000
 		sum := 0
 		for i := 0; i < n; i++ {
-			sum += poisson(rng, lambda)
+			sum += poisson(rng, math.Exp(-lambda))
 		}
 		mean := float64(sum) / n
 		if math.Abs(mean-lambda) > 0.05*lambda+0.005 {
 			t.Fatalf("lambda=%v: sample mean %v", lambda, mean)
 		}
 	}
-	if poisson(rng, 0) != 0 || poisson(rng, -1) != 0 {
-		t.Fatal("non-positive lambda must give zero")
+}
+
+func TestNonPositiveRateDrawsNothing(t *testing.T) {
+	t.Parallel()
+	// A mode whose λ is not positive (zero or negative rate, zero hours)
+	// yields no faults and consumes no rng draw.
+	rates := map[Mode]Rate{SingleBit: {Transient: -1}, SingleRow: {}}
+	for _, s := range []*Sampler{
+		NewSampler(X8SECDED16GB, rates, 1, 7*HoursPerYear),
+		NewSampler(X8SECDED16GB, SridharanFITRates, 1, 0),
+		NewSampler(X8SECDED16GB, SridharanFITRates, 0, 7*HoursPerYear),
+	} {
+		rng, ref := rand.New(rand.NewPCG(1, 1)), rand.New(rand.NewPCG(1, 1))
+		if faults := s.SampleLifetime(rng, nil); len(faults) != 0 {
+			t.Fatalf("drew %d faults", len(faults))
+		}
+		if rng.Uint64() != ref.Uint64() {
+			t.Fatal("a non-positive λ consumed rng draws")
+		}
 	}
 }
 
@@ -86,16 +103,16 @@ func TestSampleLifetimeRate(t *testing.T) {
 	// Expected faults per module over 7 years: 66.1 FIT x 18 chips x
 	// 61362h ≈ 0.0730 (multi-rank sampled per position halves its
 	// module-level contribution: 3.7 FIT x 9 positions instead of 18).
-	s := NewSampler(X8SECDED16GB, SridharanFITRates, 1)
-	rng := rand.New(rand.NewPCG(2, 2))
 	hours := 7 * HoursPerYear
+	s := NewSampler(X8SECDED16GB, SridharanFITRates, 1, hours)
+	rng := rand.New(rand.NewPCG(2, 2))
 	perChip := (TotalFIT(SridharanFITRates) - SridharanFITRates[MultiRank].Total()) * 1e-9 * hours
 	expected := perChip*18 + SridharanFITRates[MultiRank].Total()*1e-9*hours*9
 
 	const n = 100000
 	total := 0
 	for i := 0; i < n; i++ {
-		total += len(s.SampleLifetime(rng, hours))
+		total += len(s.SampleLifetime(rng, nil))
 	}
 	mean := float64(total) / n
 	if math.Abs(mean-expected) > 0.05*expected {
@@ -105,12 +122,12 @@ func TestSampleLifetimeRate(t *testing.T) {
 
 func TestSampleLifetimeOrderingAndBounds(t *testing.T) {
 	t.Parallel()
-	s := NewSampler(X4Chipkill16GB, SridharanFITRates, 50) // high rate for coverage
-	rng := rand.New(rand.NewPCG(3, 3))
 	hours := 7 * HoursPerYear
+	s := NewSampler(X4Chipkill16GB, SridharanFITRates, 50, hours) // high rate for coverage
+	rng := rand.New(rand.NewPCG(3, 3))
 	seenModes := map[Mode]bool{}
 	for i := 0; i < 2000; i++ {
-		faults := s.SampleLifetime(rng, hours)
+		faults := s.SampleLifetime(rng, nil)
 		last := -1.0
 		for _, f := range faults {
 			seenModes[f.Mode] = true
@@ -173,12 +190,11 @@ func checkShape(t *testing.T, f Fault) {
 
 func TestTransientFractionMatchesRates(t *testing.T) {
 	t.Parallel()
-	s := NewSampler(X8SECDED16GB, SridharanFITRates, 100)
+	s := NewSampler(X8SECDED16GB, SridharanFITRates, 100, 7*HoursPerYear)
 	rng := rand.New(rand.NewPCG(4, 4))
-	hours := 7 * HoursPerYear
 	trans, perm := 0, 0
 	for i := 0; i < 5000; i++ {
-		for _, f := range s.SampleLifetime(rng, hours) {
+		for _, f := range s.SampleLifetime(rng, nil) {
 			if f.Mode != SingleBit {
 				continue
 			}
@@ -201,10 +217,10 @@ func TestFITScale(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	hours := 7 * HoursPerYear
 	count := func(scale float64) int {
-		s := NewSampler(X8SECDED16GB, SridharanFITRates, scale)
+		s := NewSampler(X8SECDED16GB, SridharanFITRates, scale, hours)
 		total := 0
 		for i := 0; i < 20000; i++ {
-			total += len(s.SampleLifetime(rng, hours))
+			total += len(s.SampleLifetime(rng, nil))
 		}
 		return total
 	}
@@ -236,7 +252,7 @@ func TestModeStringsAndSpans(t *testing.T) {
 
 func TestSamplerGeometryAccessor(t *testing.T) {
 	t.Parallel()
-	s := NewSampler(X8SECDED16GB, SridharanFITRates, 1)
+	s := NewSampler(X8SECDED16GB, SridharanFITRates, 1, 7*HoursPerYear)
 	if s.Geometry().Devices() != 18 {
 		t.Fatal("geometry accessor")
 	}

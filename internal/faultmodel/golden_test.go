@@ -45,12 +45,13 @@ func computeSampleGolden() map[string]sampleGoldenRecord {
 	out := make(map[string]sampleGoldenRecord)
 	for gi, g := range geoms {
 		for _, scale := range []float64{1, 10, 50} {
-			s := NewSampler(g.geom, SridharanFITRates, scale)
+			s := NewSampler(g.geom, SridharanFITRates, scale, hours)
 			rng := rand.New(rand.NewPCG(uint64(gi)+1, uint64(scale)))
 			h := sha256.New()
 			total := 0
+			var faults []Fault
 			for m := 0; m < sampleGoldenModules; m++ {
-				faults := s.SampleLifetime(rng, hours)
+				faults = s.SampleLifetime(rng, faults[:0])
 				hashUint(h, uint64(len(faults)))
 				for _, f := range faults {
 					hashFault(h, f)

@@ -52,7 +52,7 @@ func (p *partial) eolFailed() int {
 // meets the target. Only blocks[:N] are aggregated. Config.Modules caps
 // the population: if the target is never met, the full population is
 // aggregated like a fixed-size run.
-func runAdaptive(ctx context.Context, eval Evaluator, cfg Config, rates map[fm.Mode]fm.Rate, workers, years int, hours float64) (Result, error) {
+func runAdaptive(ctx context.Context, eval Evaluator, sampler *fm.Sampler, cfg Config, workers, years int) (Result, error) {
 	maxBlocks := (cfg.Modules + blockSize - 1) / blockSize
 	tallies := make([]partial, 0, workers*4)
 	stopN := 0
@@ -80,7 +80,7 @@ func runAdaptive(ctx context.Context, eval Evaluator, cfg Config, rates map[fm.M
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				sampler := fm.NewSampler(eval.Geometry(), rates, cfg.FITScale)
+				sc := newScratch()
 				for {
 					if bail.Load() || ctx.Err() != nil {
 						return
@@ -95,7 +95,7 @@ func runAdaptive(ctx context.Context, eval Evaluator, cfg Config, rates map[fm.M
 					if cfg.Telemetry != nil {
 						p.reg = telemetry.NewRegistry()
 					}
-					if err := runBlock(eval, sampler, cfg, b, years, hours, p); err != nil {
+					if err := runBlock(eval, sampler, cfg, b, years, p, sc); err != nil {
 						errs[w] = err
 						bail.Store(true)
 						return

@@ -102,6 +102,10 @@ func (r Result) Probability() float64 {
 	return float64(r.Failed) / float64(r.Modules)
 }
 
+// MaxYears bounds Config.Years: the study keeps one failure tally per
+// year, and a century is far past any DRAM deployment.
+const MaxYears = 100
+
 // blockSize is the module count of one deterministic work unit. Each
 // block owns an RNG seeded by (cfg.Seed, block index), so the sampled
 // fault histories depend only on the seed and the module's block — never
@@ -122,6 +126,21 @@ type partial struct {
 	reg *telemetry.Registry
 }
 
+// scratch is one worker's reusable per-block state, so the module loop
+// allocates nothing once the buffers have grown.
+type scratch struct {
+	// faults is the buffer SampleLifetime appends each module's faults to.
+	faults []fm.Fault
+	// perModule[n] counts the block's modules with n faults.
+	perModule []uint64
+	// failMode[m] counts the block's single-fault failures of Mode m.
+	failMode []int
+}
+
+func newScratch() *scratch {
+	return &scratch{failMode: make([]int, len(fm.Modes))}
+}
+
 // Run executes the Monte-Carlo study for one scheme.
 func Run(eval Evaluator, cfg Config) (Result, error) {
 	return RunContext(context.Background(), eval, cfg)
@@ -139,6 +158,10 @@ func RunContext(ctx context.Context, eval Evaluator, cfg Config) (Result, error)
 	if cfg.ScrubIntervalHours < 0 || cfg.RetireIntervalHours < 0 {
 		return Result{}, fmt.Errorf("faultsim: scrub/retire intervals must be non-negative")
 	}
+	// Also catches NaN, which fails every comparison.
+	if !(cfg.Years >= 0.5 && cfg.Years <= MaxYears) {
+		return Result{}, fmt.Errorf("faultsim: Years must be in [0.5, %d] (got %g)", MaxYears, cfg.Years)
+	}
 	if cfg.CIHalfWidth < 0 {
 		return Result{}, fmt.Errorf("faultsim: CIHalfWidth must be non-negative (got %g)", cfg.CIHalfWidth)
 	}
@@ -154,10 +177,12 @@ func RunContext(ctx context.Context, eval Evaluator, cfg Config) (Result, error)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	years := int(cfg.Years + 0.5)
-	hours := cfg.Years * fm.HoursPerYear
+	// One sampling plan serves the whole study; the Sampler is immutable,
+	// so every worker shares it.
+	sampler := fm.NewSampler(eval.Geometry(), rates, cfg.FITScale, cfg.Years*fm.HoursPerYear)
 
 	if cfg.CIHalfWidth > 0 {
-		return runAdaptive(ctx, eval, cfg, rates, workers, years, hours)
+		return runAdaptive(ctx, eval, sampler, cfg, workers, years)
 	}
 
 	blocks := (cfg.Modules + blockSize - 1) / blockSize
@@ -182,7 +207,7 @@ func RunContext(ctx context.Context, eval Evaluator, cfg Config) (Result, error)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sampler := fm.NewSampler(eval.Geometry(), rates, cfg.FITScale)
+			sc := newScratch()
 			p := &partials[w]
 			p.failedByYear = make([]int, years)
 			p.byMode = make(map[fm.Mode]int)
@@ -197,7 +222,7 @@ func RunContext(ctx context.Context, eval Evaluator, cfg Config) (Result, error)
 				if b >= blocks {
 					return
 				}
-				if err := runBlock(eval, sampler, cfg, b, years, hours, p); err != nil {
+				if err := runBlock(eval, sampler, cfg, b, years, p, sc); err != nil {
 					errs[w] = err
 					bail.Store(true)
 					return
@@ -237,10 +262,11 @@ func RunContext(ctx context.Context, eval Evaluator, cfg Config) (Result, error)
 	return res, ctx.Err()
 }
 
-// runBlock simulates one block of modules, recovering any panic (a buggy
-// Evaluator, a bad fault model) into a returned error so the worker pool
-// cannot deadlock or crash the process.
-func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int, hours float64, p *partial) (err error) {
+// runBlock simulates one block of modules into p, recovering any panic (a
+// buggy Evaluator, a bad fault model) into a returned error so the worker
+// pool cannot deadlock or crash the process. It tallies the block in sc
+// and publishes to p.reg once, at the end of the block.
+func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int, p *partial, sc *scratch) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("faultsim: panic in Monte-Carlo block %d: %v", b, r)
@@ -252,20 +278,20 @@ func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int, hou
 	if hi > cfg.Modules {
 		hi = cfg.Modules
 	}
-	modules := p.reg.Counter("faultsim.modules")
-	faulty := p.reg.Counter("faultsim.faulty_modules")
-	failSingle := p.reg.Counter("faultsim.failures.single")
-	failPair := p.reg.Counter("faultsim.failures.pair")
-	perModule := p.reg.Histogram("faultsim.faults_per_module", []int64{0, 1, 2, 4, 8})
+	clear(sc.perModule)
+	clear(sc.failMode)
+	faulty, pair := 0, 0
 	for m := lo; m < hi; m++ {
-		p.modules++
-		modules.Inc()
-		faults := sampler.SampleLifetime(rng, hours)
-		perModule.Observe(int64(len(faults)))
+		faults := sampler.SampleLifetime(rng, sc.faults[:0])
+		sc.faults = faults
+		for len(faults) >= len(sc.perModule) {
+			sc.perModule = append(sc.perModule, 0)
+		}
+		sc.perModule[len(faults)]++
 		if len(faults) == 0 {
 			continue
 		}
-		faulty.Inc()
+		faulty++
 		failH, single, mode := moduleFailure(eval, faults, cfg.ScrubIntervalHours, cfg.RetireIntervalHours)
 		if failH < 0 {
 			continue
@@ -278,14 +304,34 @@ func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int, hou
 			p.failedByYear[y]++
 		}
 		if single {
-			p.single++
-			p.byMode[mode]++
-			failSingle.Inc()
-			p.reg.Counter("faultsim.fail_mode." + mode.String()).Inc()
+			sc.failMode[mode]++
 		} else {
-			p.pair++
-			failPair.Inc()
+			pair++
 		}
+	}
+
+	single := 0
+	for m, n := range sc.failMode {
+		if n == 0 {
+			continue
+		}
+		single += n
+		mode := fm.Mode(m)
+		p.byMode[mode] += n
+		if p.reg != nil { // skip building the name when telemetry is off
+			p.reg.Counter("faultsim.fail_mode." + mode.String()).Add(uint64(n))
+		}
+	}
+	p.modules += hi - lo
+	p.single += single
+	p.pair += pair
+	p.reg.Counter("faultsim.modules").Add(uint64(hi - lo))
+	p.reg.Counter("faultsim.faulty_modules").Add(uint64(faulty))
+	p.reg.Counter("faultsim.failures.single").Add(uint64(single))
+	p.reg.Counter("faultsim.failures.pair").Add(uint64(pair))
+	perModule := p.reg.Histogram("faultsim.faults_per_module", []int64{0, 1, 2, 4, 8})
+	for n, c := range sc.perModule {
+		perModule.ObserveN(int64(n), c)
 	}
 	return nil
 }

@@ -406,6 +406,30 @@ func TestBadConfigError(t *testing.T) {
 	}
 }
 
+// TestYearsOutOfRangeIsError: a horizon under half a year used to give
+// zero year buckets and panic on the first failure; an astronomic one
+// panicked sizing the buckets inside a worker goroutine, outside any
+// recover. Both, and every non-finite horizon, are now config errors.
+func TestYearsOutOfRangeIsError(t *testing.T) {
+	t.Parallel()
+	for _, years := range []float64{0, 0.3, MaxYears + 0.5, 1e300, math.Inf(1), math.NaN()} {
+		cfg := Config{Modules: 5_000, Years: years, Seed: 3, Workers: 2, FITScale: 10}
+		if _, err := Run(SECDEDEval{}, cfg); err == nil {
+			t.Errorf("Years=%g accepted", years)
+		}
+		cfg.CIHalfWidth = 0.01
+		if _, err := Run(SECDEDEval{}, cfg); err == nil {
+			t.Errorf("adaptive Years=%g accepted", years)
+		}
+	}
+	for _, years := range []float64{0.5, MaxYears} {
+		res := mustRun(t, SECDEDEval{}, Config{Modules: 5_000, Years: years, Seed: 3, Workers: 2, FITScale: 10})
+		if len(res.FailedByYear) != int(years+0.5) || res.Failed == 0 {
+			t.Errorf("Years=%g: %d year buckets, %d failed", years, len(res.FailedByYear), res.Failed)
+		}
+	}
+}
+
 func TestScrubbingReducesPairFailures(t *testing.T) {
 	t.Parallel()
 	// Chipkill's failures are all fault pairs; daily patrol scrubbing

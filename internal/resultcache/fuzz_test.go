@@ -27,6 +27,9 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	for _, body := range yearsOutOfRange {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseRequest(bytes.NewReader(data))
 		if err != nil {

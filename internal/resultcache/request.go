@@ -108,6 +108,10 @@ const perfBudgetCap = 5_000_000
 // relModulesCap bounds the Monte-Carlo population per request.
 const relModulesCap = 5_000_000
 
+// relYearsCap bounds the deployment horizon per request, at the limit
+// faultsim.Run itself enforces.
+const relYearsCap = faultsim.MaxYears
+
 // ParseRequest decodes a request strictly: unknown fields are rejected,
 // because a silently ignored field ("sheme") would alias two different
 // intents onto one cache key. The returned request is normalized.
@@ -273,8 +277,8 @@ func (l *RelRequest) normalize() error {
 	if l.Years == 0 {
 		l.Years = 7
 	}
-	if l.Years < 0 {
-		return fmt.Errorf("resultcache: negative deployment years")
+	if l.Years < 0.5 || l.Years > relYearsCap {
+		return fmt.Errorf("resultcache: deployment years %g outside [0.5, %d]", l.Years, relYearsCap)
 	}
 	if l.FITScale == 0 {
 		l.FITScale = 1

@@ -155,6 +155,8 @@ func TestNormalizeRejections(t *testing.T) {
 		"dup evaluator":     {Kind: KindRel, Rel: &RelRequest{Evaluators: []string{"secded", "SECDED"}}},
 		"modules cap":       {Kind: KindRel, Rel: &RelRequest{Modules: relModulesCap + 1}},
 		"negative years":    {Kind: KindRel, Rel: &RelRequest{Years: -1}},
+		"sub-half-year":     {Kind: KindRel, Rel: &RelRequest{Years: 0.3}},
+		"years cap":         {Kind: KindRel, Rel: &RelRequest{Years: relYearsCap + 1}},
 		"negative fit":      {Kind: KindRel, Rel: &RelRequest{FITScale: -1}},
 		"negative scrub":    {Kind: KindRel, Rel: &RelRequest{ScrubIntervalHours: -24}},
 	}
@@ -179,6 +181,28 @@ func TestParseRequestStrict(t *testing.T) {
 	}
 	if req.Rel.Evaluators[0] != "Chipkill" {
 		t.Fatalf("parse did not canonicalize: %v", req.Rel.Evaluators)
+	}
+}
+
+// yearsOutOfRange are served request bodies whose deployment horizon
+// faultsim cannot tally: under half a year leaves no year bucket, and an
+// astronomic horizon once sized a slice past the heap.
+var yearsOutOfRange = []string{
+	`{"kind":"rel","rel":{"years":0.3}}`,
+	`{"kind":"rel","rel":{"years":1e300}}`,
+}
+
+func TestParseRequestRejectsYearsOutOfRange(t *testing.T) {
+	t.Parallel()
+	for _, body := range yearsOutOfRange {
+		if _, err := ParseRequest(strings.NewReader(body)); err == nil {
+			t.Errorf("%s accepted", body)
+		}
+	}
+	for _, body := range []string{`{"kind":"rel","rel":{"years":0.5}}`, `{"kind":"rel","rel":{"years":100}}`} {
+		if _, err := ParseRequest(strings.NewReader(body)); err != nil {
+			t.Errorf("%s rejected: %v", body, err)
+		}
 	}
 }
 

@@ -129,6 +129,24 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[len(h.bounds)].Add(1)
 }
 
+// ObserveN records n observations of v at once, exactly as n Observe(v)
+// calls would; no-op on a nil handle. Hot loops tally locally and publish
+// through it once per batch.
+func (h *Histogram) ObserveN(v int64, n uint64) {
+	if h == nil || n == 0 {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(v * int64(n))
+	for i, b := range h.bounds {
+		if v <= b {
+			h.buckets[i].Add(n)
+			return
+		}
+	}
+	h.buckets[len(h.bounds)].Add(n)
+}
+
 // Count returns the number of observations (0 for a nil handle).
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,7 @@ func TestNilRegistryIsFreeAndSafe(t *testing.T) {
 	g.Set(1.5)
 	g.SetMax(2.5)
 	h.Observe(100)
+	h.ObserveN(100, 3)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
@@ -43,6 +45,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		c.Inc()
 		g.SetMax(9)
 		h.Observe(5)
+		h.ObserveN(5, 3)
 		tr.Emit(Event{Kind: EvRD})
 	}); n != 0 {
 		t.Fatalf("disabled telemetry allocated %.1f times per op, want 0", n)
@@ -87,6 +90,25 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if hs.Mean() != 1026.0/4 {
 		t.Fatalf("mean = %g", hs.Mean())
+	}
+}
+
+func TestHistogramObserveNMatchesObserve(t *testing.T) {
+	t.Parallel()
+	one, bulk := NewRegistry(), NewRegistry()
+	bounds := []int64{0, 1, 2, 4, 8}
+	for _, obs := range []struct {
+		v int64
+		n uint64
+	}{{0, 4093}, {1, 2}, {3, 1}, {9, 7}, {4, 0}} {
+		for i := uint64(0); i < obs.n; i++ {
+			one.Histogram("h", bounds).Observe(obs.v)
+		}
+		bulk.Histogram("h", bounds).ObserveN(obs.v, obs.n)
+	}
+	a, b := one.Snapshot().Histograms["h"], bulk.Snapshot().Histograms["h"]
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("ObserveN snapshot %+v, n Observe calls %+v", b, a)
 	}
 }
 
