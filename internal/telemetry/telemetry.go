@@ -114,20 +114,7 @@ func DefaultLatencyBounds() []int64 {
 }
 
 // Observe records one value; no-op on a nil handle.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	for i, b := range h.bounds {
-		if v <= b {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.buckets[len(h.bounds)].Add(1)
-}
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
 
 // ObserveN records n observations of v at once, exactly as n Observe(v)
 // calls would; no-op on a nil handle. Hot loops tally locally and publish
