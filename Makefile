@@ -246,12 +246,13 @@ fleet-chaos:
 # every slowdown figure (its coverage includes the per-cycle reference
 # loop the skip-ahead proofs compare against), and ecc holds the codecs,
 # fault injectors and DIMM device layout that every reliability and
-# Table IV number decodes through, so regressions there must not land
-# untested.
+# Table IV number decodes through, and faultmodel/faultsim draw and judge
+# every module lifetime behind the Figure 6/10 reliability ratios, so
+# regressions there must not land untested.
 COVER_GATE_PKGS := ./internal/telemetry ./internal/response ./internal/attrib \
 	./internal/jobs ./internal/resultcache ./internal/fleet ./internal/snapshot \
 	./internal/payload ./internal/synth ./internal/rowhammer ./internal/sim \
-	./internal/ecc
+	./internal/ecc ./internal/faultmodel ./internal/faultsim
 COVER_GATE_MIN  := 85
 cover:
 	@$(GO) test -cover $(COVER_GATE_PKGS) | awk -v min=$(COVER_GATE_MIN) ' \
