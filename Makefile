@@ -111,7 +111,8 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/snapshot:FuzzSnapshotRoundTrip ./internal/snapshot:FuzzSnapshotReader \
 	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix \
 	./internal/telemetry:FuzzParseEvent ./internal/telemetry:FuzzReadTraceFile \
-	./internal/resultcache:FuzzParseRequest ./internal/resultcache:FuzzReadArtifact
+	./internal/resultcache:FuzzParseRequest ./internal/resultcache:FuzzReadArtifact \
+	./internal/jobs:FuzzLoadPendingJobs
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

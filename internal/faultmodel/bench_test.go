@@ -1,7 +1,6 @@
 package faultmodel
 
 import (
-	"math/rand/v2"
 	"testing"
 )
 
@@ -26,7 +25,7 @@ func BenchmarkSampleLifetime(b *testing.B) {
 	for _, c := range benchSamplers {
 		b.Run(c.name, func(b *testing.B) {
 			s := NewSampler(c.geom, SridharanFITRates, c.fitScale, 7*HoursPerYear)
-			rng := rand.New(rand.NewPCG(1, 1))
+			rng := NewPCG(1, 1)
 			var buf []Fault
 			total := 0
 			b.ResetTimer()
@@ -43,7 +42,7 @@ func BenchmarkSampleLifetime(b *testing.B) {
 // draw allocates nothing, even at a fault rate that fills it.
 func TestSampleLifetimeAllocationFree(t *testing.T) {
 	s := NewSampler(X4Chipkill16GB, SridharanFITRates, 50, 7*HoursPerYear)
-	rng := rand.New(rand.NewPCG(1, 1))
+	rng := NewPCG(1, 1)
 	buf := make([]Fault, 0, 64)
 	if n := testing.AllocsPerRun(1000, func() {
 		buf = s.SampleLifetime(rng, buf[:0])
@@ -52,5 +51,21 @@ func TestSampleLifetimeAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("SampleLifetime allocated %.1f times per module, want 0", n)
+	}
+}
+
+// TestSampleLifetimeFastPathAllocationFree: a fault-free module, which
+// the jump-ahead fast path serves, allocates nothing even into a nil
+// buffer.
+func TestSampleLifetimeFastPathAllocationFree(t *testing.T) {
+	// One deployment hour: λ is ~1e-6 per mode, so no module faults.
+	s := NewSampler(X4Chipkill16GB, SridharanFITRates, 1, 1)
+	rng := NewPCG(1, 1)
+	if n := testing.AllocsPerRun(1000, func() {
+		if faults := s.SampleLifetime(rng, nil); len(faults) != 0 {
+			t.Fatalf("drew %d faults in one hour", len(faults))
+		}
+	}); n != 0 {
+		t.Fatalf("fault-free SampleLifetime allocated %.1f times per module, want 0", n)
 	}
 }

@@ -12,7 +12,6 @@ package faultmodel
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 )
 
 // Mode is a DRAM chip failure mode.
@@ -84,11 +83,12 @@ var SridharanFITRates = map[Mode]Rate{
 	MultiRank:    {Transient: 0.9, Permanent: 2.8},
 }
 
-// TotalFIT returns the summed per-device FIT over all modes.
+// TotalFIT returns the summed per-device FIT over all modes. It sums in
+// Modes order, so the float total does not depend on map iteration order.
 func TotalFIT(rates map[Mode]Rate) float64 {
 	var t float64
-	for _, r := range rates {
-		t += r.Total()
+	for _, m := range Modes {
+		t += rates[m].Total()
 	}
 	return t
 }
@@ -168,21 +168,27 @@ func (f Fault) SpansAllCols() bool { return f.Col < 0 }
 type Sampler struct {
 	geom  ModuleGeometry
 	hours float64
-	// plan holds each mode's precomputed Poisson parameters, indexed by
-	// Mode and walked in Table III order.
+	// plan[:n] holds the precomputed Poisson parameters of every mode
+	// that draws, in Table III order. A mode whose mean arrival count λ
+	// is not positive draws nothing, not even the Poisson variate, and
+	// has no entry.
 	plan [numModes]modePlan
+	n    int
 }
 
-// modePlan is one mode's share of the per-study sampling plan.
+// modePlan is one drawing mode's share of the per-study sampling plan.
 type modePlan struct {
+	mode Mode
 	// total and transient are the mode's per-device FIT: Rate.Total()
 	// and Rate.Transient.
 	total, transient float64
-	// draws is false when the mode's mean arrival count λ is not positive:
-	// the mode then draws nothing, not even the Poisson variate.
-	draws bool
 	// expNegLambda is exp(-λ), the inversion threshold poisson stops at.
 	expNegLambda float64
+	// zeroMax is the largest 53-bit draw for which poisson's first
+	// uniform already stops at zero faults: x<<11>>11 <= zeroMax exactly
+	// when Float64() <= expNegLambda, since both sides scale by 2^53
+	// exactly.
+	zeroMax uint64
 }
 
 // NewSampler builds a sampler for a module deployed `hours` operating
@@ -201,7 +207,13 @@ func NewSampler(geom ModuleGeometry, rates map[Mode]Rate, fitScale, hours float6
 			population = geom.ChipsPerRank
 		}
 		lambda := lambdaPerChip * float64(population)
-		s.plan[mode] = modePlan{total: rate.Total(), transient: rate.Transient, draws: lambda > 0, expNegLambda: math.Exp(-lambda)}
+		if !(lambda > 0) {
+			continue
+		}
+		e := math.Exp(-lambda)
+		s.plan[s.n] = modePlan{mode: mode, total: rate.Total(), transient: rate.Transient,
+			expNegLambda: e, zeroMax: uint64(e * (1 << 53))}
+		s.n++
 	}
 	return s
 }
@@ -212,7 +224,7 @@ func (s *Sampler) Geometry() ModuleGeometry { return s.geom }
 // poisson draws a Poisson variate whose mean λ satisfies expNegLambda =
 // exp(-λ) (inversion by sequential search; λ here is always small, well
 // under 1).
-func poisson(rng *rand.Rand, expNegLambda float64) int {
+func poisson(rng *PCG, expNegLambda float64) int {
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
@@ -227,36 +239,51 @@ func poisson(rng *rand.Rand, expNegLambda float64) int {
 // sampler's deployment hours and appends them to dst, ordered by arrival
 // time. It returns the extended slice; passing a reused buffer's dst[:0]
 // makes the draw allocation-free once the buffer has grown.
-func (s *Sampler) SampleLifetime(rng *rand.Rand, dst []Fault) []Fault {
+//
+// Most modules draw no fault, and then each drawing mode consumes exactly
+// one uniform. The fast path reads those first uniforms straight off the
+// current state with precomputed jumps; if every one stops poisson at
+// zero, the state jumps past them all at once. Otherwise the ordinary
+// sequential draw resumes at the first faulty mode, from the state just
+// before it, so the stream and every variate match a purely sequential
+// draw.
+func (s *Sampler) SampleLifetime(rng *PCG, dst []Fault) []Fault {
+	plan := s.plan[:s.n]
+	first := 0
+	for first < len(plan) && rng.peek(first)<<11>>11 <= plan[first].zeroMax {
+		first++
+	}
+	if first > 0 {
+		rng.advance(first)
+	}
+	if first == len(plan) {
+		return dst
+	}
 	start := len(dst)
-	for mode := range s.plan {
-		mp := &s.plan[mode]
-		if !mp.draws {
-			continue
-		}
+	for i := first; i < len(plan); i++ {
+		mp := &plan[i]
 		n := poisson(rng, mp.expNegLambda)
-		for i := 0; i < n; i++ {
-			f := s.place(rng, Mode(mode))
+		for ; n > 0; n-- {
+			dst = append(dst, Fault{})
+			f := &dst[len(dst)-1]
+			s.place(rng, mp.mode, f)
 			f.Hours = rng.Float64() * s.hours
 			f.Transient = rng.Float64()*mp.total < mp.transient
-			dst = append(dst, f)
 		}
 	}
 	sortByTime(dst[start:])
 	return dst
 }
 
-// place picks uniform coordinates for a fault of the given mode.
-func (s *Sampler) place(rng *rand.Rand, mode Mode) Fault {
-	g := s.geom
-	f := Fault{
-		Mode: mode,
-		Rank: rng.IntN(g.Ranks),
-		Chip: rng.IntN(g.ChipsPerRank),
-		Bank: rng.IntN(g.Chip.Banks),
-		Row:  rng.IntN(g.Chip.Rows),
-		Col:  rng.IntN(g.Chip.Cols),
-	}
+// place fills f with a fault of the given mode at uniform coordinates.
+func (s *Sampler) place(rng *PCG, mode Mode, f *Fault) {
+	g := &s.geom
+	f.Mode = mode
+	f.Rank = rng.IntN(g.Ranks)
+	f.Chip = rng.IntN(g.ChipsPerRank)
+	f.Bank = rng.IntN(g.Chip.Banks)
+	f.Row = rng.IntN(g.Chip.Rows)
+	f.Col = rng.IntN(g.Chip.Cols)
 	switch mode {
 	case SingleBit:
 		// fully specified
@@ -273,7 +300,6 @@ func (s *Sampler) place(rng *rand.Rand, mode Mode) Fault {
 	case MultiRank:
 		f.Rank, f.Bank, f.Row, f.Col = -1, -1, -1, -1
 	}
-	return f
 }
 
 func sortByTime(fs []Fault) {

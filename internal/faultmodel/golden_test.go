@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,7 +45,7 @@ func computeSampleGolden() map[string]sampleGoldenRecord {
 	for gi, g := range geoms {
 		for _, scale := range []float64{1, 10, 50} {
 			s := NewSampler(g.geom, SridharanFITRates, scale, hours)
-			rng := rand.New(rand.NewPCG(uint64(gi)+1, uint64(scale)))
+			rng := NewPCG(uint64(gi)+1, uint64(scale))
 			h := sha256.New()
 			total := 0
 			var faults []Fault

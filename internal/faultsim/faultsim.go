@@ -3,7 +3,6 @@ package faultsim
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -272,7 +271,7 @@ func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int, p *
 			err = fmt.Errorf("faultsim: panic in Monte-Carlo block %d: %v", b, r)
 		}
 	}()
-	rng := rand.New(rand.NewPCG(cfg.Seed, uint64(b)+1))
+	rng := fm.NewPCG(cfg.Seed, uint64(b)+1)
 	lo := b * blockSize
 	hi := lo + blockSize
 	if hi > cfg.Modules {

@@ -18,7 +18,7 @@ import (
 
 // reqN builds a distinct normalized request per seed without running
 // any simulation (jobs unit tests use stub runners).
-func reqN(t *testing.T, seed uint64) *resultcache.Request {
+func reqN(t testing.TB, seed uint64) *resultcache.Request {
 	t.Helper()
 	r := &resultcache.Request{Kind: resultcache.KindPerf, Perf: &resultcache.PerfRequest{
 		Schemes:      []string{"SafeGuard"},

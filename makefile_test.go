@@ -125,6 +125,7 @@ func TestMakeFuzzTargetsPackageQualified(t *testing.T) {
 		"./internal/telemetry:FuzzReadTraceFile",
 		"./internal/resultcache:FuzzParseRequest",
 		"./internal/resultcache:FuzzReadArtifact",
+		"./internal/jobs:FuzzLoadPendingJobs",
 	} {
 		if !strings.Contains(mf, want) {
 			t.Errorf("FUZZ_TARGETS missing %q", want)
