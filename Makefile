@@ -112,7 +112,7 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix \
 	./internal/telemetry:FuzzParseEvent ./internal/telemetry:FuzzReadTraceFile \
 	./internal/resultcache:FuzzParseRequest ./internal/resultcache:FuzzReadArtifact \
-	./internal/jobs:FuzzLoadPendingJobs
+	./internal/jobs:FuzzLoadPendingJobs ./internal/fleet:FuzzDecodeComplete
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -154,8 +154,9 @@ snapshot-smoke:
 
 # obs-smoke proves the observability plane end to end: first the
 # ObsSmoke test suite under the race detector (executor progress spans,
-# the exact SSE lifecycle of a fleet job, merged-snapshot bit-identity
-# across worker counts, the heartbeat live preview), then the real
+# the exact SSE lifecycle of a fleet job, bit-identity of the
+# coordinator's merged executor series across worker counts, heartbeat
+# progress with no telemetry merged before completion), then the real
 # binaries — sgserve brought up cold, sgtop -once -json pulling a frame
 # from its /healthz + /stats surfaces.
 OBS_SMOKE_ADDR ?= 127.0.0.1:18417

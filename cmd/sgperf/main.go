@@ -145,25 +145,7 @@ func main() {
 	if len(customSchemes) > 0 {
 		res, err := experiments.RunSchemes(ctx, cfg, customSchemes)
 		interrupted(err)
-		cols := []string{"workload"}
-		for _, s := range customSchemes {
-			cols = append(cols, s.String())
-		}
-		t := report.NewTable("Custom scheme comparison (slowdown vs baseline)", cols...)
-		for _, row := range res.Rows {
-			cells := []string{row.Workload}
-			for _, s := range customSchemes {
-				cells = append(cells, report.Percent(row.Slowdown[s]))
-			}
-			t.AddRowStrings(cells...)
-		}
-		avg := []string{"AVERAGE"}
-		for _, s := range customSchemes {
-			avg = append(avg, report.Percent(res.Average(s)))
-		}
-		t.AddRowStrings(avg...)
-		t.Render(os.Stdout)
-		fmt.Println()
+		renderSchemes("Custom scheme comparison (slowdown vs baseline)", res, customSchemes, nil)
 	}
 	if *fig7 || *all {
 		res, err := experiments.Figure7(ctx, cfg)
@@ -180,42 +162,19 @@ func main() {
 	if *fig12 || *all {
 		res, err := experiments.Figure12(ctx, cfg)
 		interrupted(err)
-		t := report.NewTable("Figure 12: MAC organizations (slowdown vs baseline; paper: SGX 18.7%, Synergy 7.8%, SafeGuard 0.7%)",
-			"workload", "SafeGuard", "SGX-style", "Synergy-style")
-		for _, row := range res.Rows {
-			t.AddRowStrings(row.Workload,
-				report.Percent(row.Slowdown[sim.SafeGuard]),
-				report.Percent(row.Slowdown[sim.SGXStyle]),
-				report.Percent(row.Slowdown[sim.SynergyStyle]))
-		}
-		t.AddRowStrings("AVERAGE",
-			report.Percent(res.Average(sim.SafeGuard)),
-			report.Percent(res.Average(sim.SGXStyle)),
-			report.Percent(res.Average(sim.SynergyStyle)))
-		t.Render(os.Stdout)
-		fmt.Println()
+		renderSchemes("Figure 12: MAC organizations (slowdown vs baseline; paper: SGX 18.7%, Synergy 7.8%, SafeGuard 0.7%)",
+			res, []sim.Scheme{sim.SafeGuard, sim.SGXStyle, sim.SynergyStyle}, nil)
 	}
 	if *fullsgx || *all {
 		c := cfg
 		if len(c.Workloads) == 0 {
 			c.Workloads = []string{"mcf", "omnetpp", "lbm", "gcc", "leela"}
 		}
-		res, err := experiments.RunSchemes(ctx, c, []sim.Scheme{sim.SafeGuard, sim.SGXStyle, sim.SGXFullStyle})
+		fullSGX := []sim.Scheme{sim.SafeGuard, sim.SGXStyle, sim.SGXFullStyle}
+		res, err := experiments.RunSchemes(ctx, c, fullSGX)
 		interrupted(err)
-		t := report.NewTable("Extension: full SGX (MAC + counters + integrity tree), the metadata the paper's comparison excluded",
-			"workload", "SafeGuard", "SGX-style (MAC only)", "SGX-full (counters+tree)")
-		for _, row := range res.Rows {
-			t.AddRowStrings(row.Workload,
-				report.Percent(row.Slowdown[sim.SafeGuard]),
-				report.Percent(row.Slowdown[sim.SGXStyle]),
-				report.Percent(row.Slowdown[sim.SGXFullStyle]))
-		}
-		t.AddRowStrings("AVERAGE",
-			report.Percent(res.Average(sim.SafeGuard)),
-			report.Percent(res.Average(sim.SGXStyle)),
-			report.Percent(res.Average(sim.SGXFullStyle)))
-		t.Render(os.Stdout)
-		fmt.Println()
+		renderSchemes("Extension: full SGX (MAC + counters + integrity tree), the metadata the paper's comparison excluded",
+			res, fullSGX, []string{"SafeGuard", "SGX-style (MAC only)", "SGX-full (counters+tree)"})
 	}
 	if *fig13 || *all {
 		points, err := experiments.Figure13(ctx, cfg, []int64{8, 16, 40, 80})
@@ -266,6 +225,34 @@ func renderPerf(title string, res experiments.PerfResult, scheme sim.Scheme) {
 	worstName, worst := res.Worst(scheme)
 	t.AddRowStrings("AVERAGE", "", report.Percent(res.Average(scheme)))
 	t.AddRowStrings("WORST ("+worstName+")", "", report.Percent(worst))
+	t.Render(os.Stdout)
+	fmt.Println()
+}
+
+// renderSchemes prints a workload x scheme slowdown table with an AVERAGE
+// row. headers label the scheme columns; nil uses the scheme names.
+func renderSchemes(title string, res experiments.PerfResult, schemes []sim.Scheme, headers []string) {
+	cols := []string{"workload"}
+	for i, s := range schemes {
+		if headers != nil {
+			cols = append(cols, headers[i])
+		} else {
+			cols = append(cols, s.String())
+		}
+	}
+	t := report.NewTable(title, cols...)
+	for _, row := range res.Rows {
+		cells := []string{row.Workload}
+		for _, s := range schemes {
+			cells = append(cells, report.Percent(row.Slowdown[s]))
+		}
+		t.AddRowStrings(cells...)
+	}
+	avg := []string{"AVERAGE"}
+	for _, s := range schemes {
+		avg = append(avg, report.Percent(res.Average(s)))
+	}
+	t.AddRowStrings(avg...)
 	t.Render(os.Stdout)
 	fmt.Println()
 }

@@ -12,10 +12,11 @@
 //     jobs.Manager's Transient retry path (bounded attempts, jittered
 //     backoff). No accepted job is ever lost to a dead worker.
 //   - Verified completion. A worker submits the full resultcache
-//     artifact; the coordinator re-runs ReadArtifact's invariant chain
-//     (schema, request→hash binding, wire shape) and requires the
-//     artifact hash to equal the leased job's hash. A corrupted or
-//     malicious result is rejected and the job requeues.
+//     artifact in a completion envelope; the coordinator re-runs
+//     ReadArtifact's invariant chain (schema, request→hash binding, wire
+//     shape) and requires the artifact hash to equal the leased job's
+//     hash. A corrupted or malicious result is rejected and the job
+//     requeues.
 //   - Idempotent zombie handling. Lease IDs are single-use: once a lease
 //     is expired or completed, late renews and completions from a worker
 //     that "came back from the dead" get 410 Gone and are counted, never
@@ -63,7 +64,8 @@ type Config struct {
 	// SweepEvery is the expiry scan interval (default LeaseTTL/4).
 	SweepEvery time.Duration
 	// Telemetry receives the "fleet.*" gauges and counters, plus the
-	// merged executor telemetry of every verified remote completion.
+	// executor telemetry of every verified remote completion, merged
+	// exactly once per job.
 	Telemetry *telemetry.Registry
 	// Bus, when set, receives checkpoint events (keyed by job hash —
 	// the coordinator does not know manager job IDs). All other
@@ -117,31 +119,20 @@ type Coordinator struct {
 	cfg Config
 
 	mu      sync.Mutex
-	pending []*dispatch          // FIFO of unleased work
-	byHash  map[string]*dispatch // fleet-wide singleflight
+	pending []*dispatch // FIFO of unleased work
 	leases  map[string]*lease
 	workers map[string]time.Time // name -> last seen
 	// ckpts holds the warm snapshots workers posted per job hash. They
 	// outlive the lease (and the dispatch) that posted them — surviving
 	// worker death is their entire purpose — and are dropped once the
 	// job completes or fails permanently.
-	ckpts map[string]map[string][]byte
-	// fleetReg accumulates the telemetry snapshot of every verified
-	// remote completion — merged exactly once per completed job, so the
-	// aggregate is deterministic for a fixed job set regardless of
-	// worker count or arrival order. workerRegs is the same accounting
-	// split per worker; workerLive holds each worker's latest heartbeat
-	// snapshot (a latest-wins preview of in-flight work, never merged —
-	// merging previews would double count once the job completes).
-	fleetReg   *telemetry.Registry
-	workerRegs map[string]*telemetry.Registry
-	workerLive map[string]telemetry.Snapshot
-	wake       chan struct{} // closed+replaced when work arrives
-	expired    []string      // lease IDs awaiting ExpireHook delivery
-	seq        int
-	closed     bool
-	stop       chan struct{}
-	swept      sync.WaitGroup
+	ckpts   map[string]map[string][]byte
+	wake    chan struct{} // closed+replaced when work arrives
+	expired []string      // lease IDs awaiting ExpireHook delivery
+	seq     int
+	closed  bool
+	stop    chan struct{}
+	swept   sync.WaitGroup
 
 	workersLive  *telemetry.Gauge
 	leasesOut    *telemetry.Gauge
@@ -156,7 +147,6 @@ type Coordinator struct {
 	failReported *telemetry.Counter
 	runRemote    *telemetry.Counter
 	runLocal     *telemetry.Counter
-	runDedup     *telemetry.Counter
 	cachePutErr  *telemetry.Counter
 	ckptStored   *telemetry.Counter
 	ckptShipped  *telemetry.Counter
@@ -186,13 +176,9 @@ func New(cfg Config) (*Coordinator, error) {
 	reg := cfg.Telemetry
 	c := &Coordinator{
 		cfg:          cfg,
-		byHash:       make(map[string]*dispatch),
 		leases:       make(map[string]*lease),
 		workers:      make(map[string]time.Time),
 		ckpts:        make(map[string]map[string][]byte),
-		fleetReg:     telemetry.NewRegistry(),
-		workerRegs:   make(map[string]*telemetry.Registry),
-		workerLive:   make(map[string]telemetry.Snapshot),
 		wake:         make(chan struct{}),
 		stop:         make(chan struct{}),
 		workersLive:  reg.Gauge("fleet.workers.live"),
@@ -208,7 +194,6 @@ func New(cfg Config) (*Coordinator, error) {
 		failReported: reg.Counter("fleet.failures.reported"),
 		runRemote:    reg.Counter("fleet.dispatch.remote"),
 		runLocal:     reg.Counter("fleet.dispatch.local"),
-		runDedup:     reg.Counter("fleet.dispatch.dedup"),
 		cachePutErr:  reg.Counter("fleet.cache.put_error"),
 		ckptStored:   reg.Counter("fleet.checkpoints.stored"),
 		ckptShipped:  reg.Counter("fleet.checkpoints.shipped"),
@@ -257,11 +242,13 @@ func (c *Coordinator) Ready() error {
 }
 
 // Run is the jobs.Runner the coordinator hands to the jobs.Manager: it
-// answers from the cache, collapses duplicate hashes onto in-flight
-// dispatches (cross-node singleflight), offers the job to the fleet, and
-// falls back to local execution when no workers are live. Lease expiry
-// and rejected results surface as jobs.Transient errors, so the
-// manager's bounded, jittered retry loop is the requeue mechanism.
+// answers from the cache, offers the job to the fleet, and falls back to
+// local execution when no workers are live. Duplicate submissions never
+// reach it — the manager's singleflight admits one job per hash and runs
+// its attempts one after another. Lease expiry and rejected results
+// surface as jobs.Transient errors, so the manager's bounded, jittered
+// retry loop is the requeue mechanism. The cache check catches a result
+// verified after its lease expired: the retry finds it stored.
 func (c *Coordinator) Run(ctx context.Context, req *resultcache.Request) (json.RawMessage, error) {
 	hash, err := req.Hash()
 	if err != nil {
@@ -274,11 +261,6 @@ func (c *Coordinator) Run(ctx context.Context, req *resultcache.Request) (json.R
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
-	if d, ok := c.byHash[hash]; ok {
-		c.mu.Unlock()
-		c.runDedup.Inc()
-		return c.await(ctx, d)
-	}
 	if c.closed || c.liveWorkersLocked(now) == 0 {
 		c.mu.Unlock()
 		c.runLocal.Inc()
@@ -291,17 +273,11 @@ func (c *Coordinator) Run(ctx context.Context, req *resultcache.Request) (json.R
 	}
 	d := &dispatch{hash: hash, canon: canon, state: dispatchQueued, enq: now, done: make(chan struct{}), pv: telemetry.ProgressFromContext(ctx)}
 	c.pending = append(c.pending, d)
-	c.byHash[hash] = d
 	c.wakePollersLocked()
 	c.mu.Unlock()
 	c.runRemote.Inc()
-	return c.await(ctx, d)
-}
-
-// await blocks until the dispatch resolves or ctx ends. A cancelled
-// waiter does not cancel the dispatch — other waiters may be attached,
-// and a completed result still lands in the cache.
-func (c *Coordinator) await(ctx context.Context, d *dispatch) (json.RawMessage, error) {
+	// A cancelled waiter does not cancel the dispatch: a completed result
+	// still lands in the cache.
 	select {
 	case <-d.done:
 		return d.result, d.err
@@ -384,19 +360,12 @@ func (c *Coordinator) acquire(ctx context.Context, worker string) (*Assignment, 
 	}
 }
 
-// renew extends a live lease by one TTL. A false return means the lease
-// is gone — expired, completed, or never granted — and the worker must
-// abandon the job: the coordinator has already requeued it.
-func (c *Coordinator) renew(id, worker string) (time.Duration, bool) {
-	return c.renewWith(id, worker, nil, nil)
-}
-
-// renewWith is renew plus the heartbeat's piggybacked observability
-// payload: the job's latest progress span (forwarded to the submitting
-// job's progress cell, attributed to the worker) and a live snapshot of
-// the worker's per-job registry (stored latest-wins as a preview — the
-// authoritative merge happens once, on verified completion).
-func (c *Coordinator) renewWith(id, worker string, prog *telemetry.Progress, snap *telemetry.Snapshot) (time.Duration, bool) {
+// renew extends a live lease by one TTL and forwards the heartbeat's
+// progress span, if any, to the submitting job's progress cell,
+// attributed to the worker. A false return means the lease is gone —
+// expired, completed, or never granted — and the worker must abandon the
+// job: the coordinator has already requeued it.
+func (c *Coordinator) renew(id, worker string, prog *telemetry.Progress) (time.Duration, bool) {
 	now := c.cfg.Now()
 	c.mu.Lock()
 	c.workers[worker] = now
@@ -409,9 +378,6 @@ func (c *Coordinator) renewWith(id, worker string, prog *telemetry.Progress, sna
 		return 0, false
 	}
 	l.deadline = now.Add(c.cfg.LeaseTTL)
-	if snap != nil && worker != "" {
-		c.workerLive[worker] = *snap
-	}
 	pv := l.d.pv
 	c.mu.Unlock()
 	c.deliverExpired()
@@ -466,22 +432,19 @@ func (c *Coordinator) checkpoint(id, key string, snapshot []byte) error {
 	return nil
 }
 
-// complete accepts a worker's finished artifact. The bytes must pass the
-// full resultcache invariant chain and hash to the leased job — a
-// corrupted result is rejected (ErrBadArtifact) and the job requeues; a
-// late completion on a dead lease is discarded idempotently (ErrLeaseGone).
-func (c *Coordinator) complete(id string, artifact []byte) error {
-	return c.completeWith(id, artifact, nil, nil)
-}
-
-// completeWith is complete plus the envelope extras: on a verified
-// completion, the job's final progress span is forwarded to its progress
-// cell (guaranteeing at least one progress event per remotely-executed
-// job, even when the run outpaced every heartbeat), and the worker's
-// per-job telemetry snapshot is merged — exactly once — into the
-// fleet-wide registry, the worker's registry, and Config.Telemetry.
-// Rejected or zombie completions merge nothing.
-func (c *Coordinator) completeWith(id string, artifact []byte, snap *telemetry.Snapshot, prog *telemetry.Progress) error {
+// complete accepts a worker's completion body: a completeEnvelope whose
+// artifact must pass the full resultcache invariant chain and hash to the
+// leased job. A body that does not decode or an artifact that does not
+// verify is rejected (ErrBadArtifact) and the job requeues; a late
+// completion on a dead lease is discarded idempotently (ErrLeaseGone),
+// whatever its body. On a verified completion the job's final progress
+// span goes to its progress cell (at least one progress event per
+// remotely-executed job, even when the run outpaced every heartbeat), and
+// the job's telemetry snapshot merges into Config.Telemetry — exactly
+// once, so the aggregate is deterministic for a fixed job set whatever
+// the worker count or arrival order. Rejected or zombie completions
+// merge nothing.
+func (c *Coordinator) complete(id string, body []byte) error {
 	now := c.cfg.Now()
 	c.mu.Lock()
 	c.sweepLocked(now)
@@ -498,7 +461,11 @@ func (c *Coordinator) completeWith(id string, artifact []byte, snap *telemetry.S
 
 	// Verify outside the lock — hashing is not free — then re-check the
 	// lease, which may have expired while we verified.
-	art, verr := resultcache.ReadArtifact(bytes.NewReader(artifact))
+	env, verr := decodeComplete(body)
+	var art *resultcache.Artifact
+	if verr == nil {
+		art, verr = resultcache.ReadArtifact(bytes.NewReader(env.Artifact))
+	}
 	if verr == nil && art.Hash != d.hash {
 		verr = fmt.Errorf("fleet: artifact hash %.12s… does not match leased job %.12s…", art.Hash, d.hash)
 	}
@@ -539,18 +506,11 @@ func (c *Coordinator) completeWith(id string, artifact []byte, snap *telemetry.S
 	// runner) returns only after done closes, so the progress event is
 	// on the bus before the manager's complete event — streams always
 	// show progress ≥ 1 before the terminal event.
-	if prog != nil {
-		d.pv.SetFrom(l.worker, *prog)
+	if env.Progress != nil {
+		d.pv.SetFrom(l.worker, *env.Progress)
 	}
-	if snap != nil {
-		c.fleetReg.MergeSnapshot(*snap)
-		wr := c.workerRegs[l.worker]
-		if wr == nil {
-			wr = telemetry.NewRegistry()
-			c.workerRegs[l.worker] = wr
-		}
-		wr.MergeSnapshot(*snap)
-		c.cfg.Telemetry.MergeSnapshot(*snap)
+	if env.Telemetry != nil {
+		c.cfg.Telemetry.MergeSnapshot(*env.Telemetry)
 	}
 	c.finishLocked(d, art.Result, nil)
 	delete(c.ckpts, d.hash) // the job is done; its checkpoints are dead weight
@@ -683,8 +643,7 @@ func (c *Coordinator) terminalizeLockedAt(l *lease, now time.Time) {
 	l.doneAt = now
 }
 
-// finishLocked resolves a dispatch exactly once and releases its hash
-// for future submissions.
+// finishLocked resolves a dispatch exactly once.
 func (c *Coordinator) finishLocked(d *dispatch, result json.RawMessage, err error) {
 	if d.state == dispatchDone {
 		return
@@ -692,9 +651,6 @@ func (c *Coordinator) finishLocked(d *dispatch, result json.RawMessage, err erro
 	d.state = dispatchDone
 	d.result = result
 	d.err = err
-	if cur, ok := c.byHash[d.hash]; ok && cur == d {
-		delete(c.byHash, d.hash)
-	}
 	close(d.done)
 }
 
@@ -702,40 +658,6 @@ func (c *Coordinator) finishLocked(d *dispatch, result json.RawMessage, err erro
 func (c *Coordinator) wakePollersLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
-}
-
-// FleetSnapshot returns the merged telemetry of every verified remote
-// completion. Because each completed job's snapshot is folded in exactly
-// once with commutative operations, the result is bit-identical for a
-// fixed job set across worker counts and arrival orders.
-func (c *Coordinator) FleetSnapshot() telemetry.Snapshot {
-	return c.fleetReg.Snapshot()
-}
-
-// WorkerSnapshots returns the per-worker merged completion telemetry —
-// the same accounting as FleetSnapshot, split by the worker that
-// completed each job.
-func (c *Coordinator) WorkerSnapshots() map[string]telemetry.Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]telemetry.Snapshot, len(c.workerRegs))
-	for name, reg := range c.workerRegs {
-		out[name] = reg.Snapshot()
-	}
-	return out
-}
-
-// WorkerLive returns each worker's latest heartbeat-piggybacked live
-// snapshot — a preview of in-flight work. Never merged into the
-// completion aggregates, so reading it cannot double count.
-func (c *Coordinator) WorkerLive() map[string]telemetry.Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]telemetry.Snapshot, len(c.workerLive))
-	for name, s := range c.workerLive {
-		out[name] = s
-	}
-	return out
 }
 
 // deliverExpired invokes ExpireHook outside the lock for every lease the

@@ -23,7 +23,7 @@ const tinyPerfBody = `{"kind":"perf","perf":{"schemes":["SafeGuard"],"workloads"
 
 // testReq builds a tiny normalized perf request; distinct seeds give
 // distinct hashes.
-func testReq(t *testing.T, seed uint64) *resultcache.Request {
+func testReq(t testing.TB, seed uint64) *resultcache.Request {
 	t.Helper()
 	body := strings.Replace(tinyPerfBody, `"seeds":[1]`, fmt.Sprintf(`"seeds":[%d]`, seed), 1)
 	req, err := resultcache.ParseRequest(strings.NewReader(body))
@@ -138,7 +138,7 @@ func leaseOne(t *testing.T, c *Coordinator, worker string, req *resultcache.Requ
 
 // goodArtifact executes req for real and encodes its artifact — the
 // exact bytes an honest worker would submit.
-func goodArtifact(t *testing.T, req *resultcache.Request) []byte {
+func goodArtifact(t testing.TB, req *resultcache.Request) []byte {
 	t.Helper()
 	result, err := req.Execute(context.Background(), nil)
 	if err != nil {
@@ -153,6 +153,27 @@ func goodArtifact(t *testing.T, req *resultcache.Request) []byte {
 		t.Fatal(err)
 	}
 	return enc
+}
+
+// envelope wraps artifact bytes in the complete body an honest worker
+// sends.
+func envelope(t *testing.T, artifact []byte) []byte {
+	t.Helper()
+	body, err := json.Marshal(completeEnvelope{Artifact: artifact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// waitQueued waits until n dispatches sit unleased in the queue.
+func waitQueued(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.pending) == n
+	})
 }
 
 func wantCounter(t *testing.T, reg *telemetry.Registry, name string, want uint64) {
@@ -215,14 +236,14 @@ func TestRenewExtendsLeaseAcrossTTL(t *testing.T) {
 	// Two renews carry the lease to t=120ms < 60+100 — alive throughout,
 	// even though the original deadline (100ms) has long passed.
 	clock.Advance(60 * time.Millisecond)
-	if ttl, ok := c.renew(a.LeaseID, "w1"); !ok || ttl != 100*time.Millisecond {
+	if ttl, ok := c.renew(a.LeaseID, "w1", nil); !ok || ttl != 100*time.Millisecond {
 		t.Fatalf("renew = (%v, %v), want (100ms, true)", ttl, ok)
 	}
 	clock.Advance(60 * time.Millisecond)
 	c.Sweep()
 	wantCounter(t, reg, "fleet.leases.expired", 0)
 
-	if err := c.complete(a.LeaseID, goodArtifact(t, req)); err != nil {
+	if err := c.complete(a.LeaseID, envelope(t, goodArtifact(t, req))); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
 	o := awaitOutcome(t, ch)
@@ -244,7 +265,7 @@ func TestCompleteVerifiesStoresAndServesRepeats(t *testing.T) {
 	a, ch := leaseOne(t, c, "w1", req)
 
 	enc := goodArtifact(t, req)
-	if err := c.complete(a.LeaseID, enc); err != nil {
+	if err := c.complete(a.LeaseID, envelope(t, enc)); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
 	o := awaitOutcome(t, ch)
@@ -274,7 +295,7 @@ func TestCorruptArtifactRejectedAndRequeued(t *testing.T) {
 	enc := goodArtifact(t, req)
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)/2] ^= 0x42
-	err := c.complete(a.LeaseID, bad)
+	err := c.complete(a.LeaseID, envelope(t, bad))
 	if !errors.Is(err, ErrBadArtifact) {
 		t.Fatalf("corrupt complete = %v, want ErrBadArtifact", err)
 	}
@@ -287,7 +308,7 @@ func TestCorruptArtifactRejectedAndRequeued(t *testing.T) {
 
 	// The lease died with the rejection: an honest retry of the same
 	// lease is a zombie now.
-	if err := c.complete(a.LeaseID, enc); !errors.Is(err, ErrLeaseGone) {
+	if err := c.complete(a.LeaseID, envelope(t, enc)); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("complete on rejected lease = %v, want ErrLeaseGone", err)
 	}
 	wantCounter(t, reg, "fleet.completions.zombie", 1)
@@ -301,7 +322,7 @@ func TestHashMismatchArtifactRejected(t *testing.T) {
 
 	// A perfectly valid artifact — for a different job.
 	other := goodArtifact(t, testReq(t, 6))
-	if err := c.complete(a.LeaseID, other); !errors.Is(err, ErrBadArtifact) {
+	if err := c.complete(a.LeaseID, envelope(t, other)); !errors.Is(err, ErrBadArtifact) {
 		t.Fatalf("foreign artifact = %v, want ErrBadArtifact", err)
 	}
 	if o := awaitOutcome(t, ch); !jobs.IsTransient(o.err) {
@@ -320,59 +341,41 @@ func TestZombieRenewAndCompleteAfterExpiry(t *testing.T) {
 	c.Sweep()
 	awaitOutcome(t, ch) // requeued transient; resolved
 
-	if _, ok := c.renew(a.LeaseID, "w1"); ok {
+	if _, ok := c.renew(a.LeaseID, "w1", nil); ok {
 		t.Fatal("renew on an expired lease succeeded")
 	}
-	if err := c.complete(a.LeaseID, goodArtifact(t, req)); !errors.Is(err, ErrLeaseGone) {
+	if err := c.complete(a.LeaseID, envelope(t, goodArtifact(t, req))); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("zombie complete = %v, want ErrLeaseGone", err)
+	}
+	// A zombie lease answers gone whatever the body.
+	if err := c.complete(a.LeaseID, []byte("not an envelope")); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("zombie complete with a bad body = %v, want ErrLeaseGone", err)
 	}
 	if err := c.fail(a.LeaseID, "late report", true); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("zombie fail = %v, want ErrLeaseGone", err)
 	}
 	wantCounter(t, reg, "fleet.renews.zombie", 1)
-	wantCounter(t, reg, "fleet.completions.zombie", 2)
+	wantCounter(t, reg, "fleet.completions.zombie", 3)
 	wantCounter(t, reg, "fleet.completions.ok", 0)
 }
 
-func TestCrossNodeSingleflight(t *testing.T) {
+func TestRawArtifactBodyRejectedAndRequeued(t *testing.T) {
 	t.Parallel()
 	c, _, reg := newTestCoordinator(t, nil)
-	// Requests normalize in place, so each concurrent submitter parses
-	// its own copy — exactly as the HTTP handler does per request.
 	req := testReq(t, 8)
-	hash, _ := req.Hash()
-	registerWorker(t, c, "w1")
+	a, ch := leaseOne(t, c, "w1", req)
 
-	ch1 := goRun(c, req)
-	// Wait until the first dispatch owns the hash, then pile on.
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		_, ok := c.byHash[hash]
-		return ok
-	})
-	ch2 := goRun(c, testReq(t, 8))
-	waitFor(t, func() bool { return reg.Counter("fleet.dispatch.dedup").Value() == 1 })
-
-	a, err := c.acquire(context.Background(), "w1")
-	if err != nil || a == nil {
-		t.Fatalf("acquire = (%v, %v)", a, err)
+	// A valid artifact sent bare, without the envelope, is not a
+	// completion body: the lease ends and the job requeues.
+	if err := c.complete(a.LeaseID, goodArtifact(t, req)); !errors.Is(err, ErrBadArtifact) {
+		t.Fatalf("raw-artifact complete = %v, want ErrBadArtifact", err)
 	}
-	c.mu.Lock()
-	pending := len(c.pending)
-	c.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d dispatches pending after dedup, want 0", pending)
+	if o := awaitOutcome(t, ch); !jobs.IsTransient(o.err) {
+		t.Fatalf("raw-artifact body surfaced %v, want transient", o.err)
 	}
-
-	if err := c.complete(a.LeaseID, goodArtifact(t, req)); err != nil {
-		t.Fatal(err)
-	}
-	o1, o2 := awaitOutcome(t, ch1), awaitOutcome(t, ch2)
-	if o1.err != nil || o2.err != nil || string(o1.result) != string(o2.result) {
-		t.Fatalf("singleflight outcomes diverged: (%v, %v)", o1.err, o2.err)
-	}
-	wantCounter(t, reg, "fleet.completions.ok", 1)
+	wantCounter(t, reg, "fleet.completions.rejected", 1)
+	wantCounter(t, reg, "fleet.requeues", 1)
+	wantCounter(t, reg, "fleet.completions.ok", 0)
 }
 
 func TestNoWorkersFallsBackToLocal(t *testing.T) {
@@ -401,13 +404,7 @@ func TestPendingFailsWhenFleetGoesDark(t *testing.T) {
 	c, clock, reg := newTestCoordinator(t, nil)
 	registerWorker(t, c, "w1")
 	ch := goRun(c, testReq(t, 10))
-	hash, _ := testReq(t, 10).Hash()
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		_, ok := c.byHash[hash]
-		return ok
-	})
+	waitQueued(t, c, 1)
 
 	// The only worker never polls again; past WorkerTTL the queued job
 	// must not be held hostage.
@@ -471,13 +468,7 @@ func TestCloseResolvesEverythingAndDegrades(t *testing.T) {
 	_, leased := leaseOne(t, c, "w1", testReq(t, 13))
 
 	queued := goRun(c, testReq(t, 14))
-	hash, _ := testReq(t, 14).Hash()
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		_, ok := c.byHash[hash]
-		return ok
-	})
+	waitQueued(t, c, 1)
 
 	c.Close()
 	for _, ch := range []<-chan runOutcome{leased, queued} {

@@ -33,13 +33,17 @@ import (
 const tinyPerf = `{"kind":"perf","perf":{"schemes":["SafeGuard"],"workloads":["leela"],"seeds":[%d],"instr_per_core":1500,"warmup_instr":500}}`
 
 // stack is one coordinator node: job API + manager + fleet coordinator
-// sharing a result cache, plus the workers attached to it.
+// sharing a result cache, plus the workers attached to it. The
+// coordinator has a registry of its own, so creg holds exactly the
+// "fleet.*" series plus the executor telemetry merged from verified
+// completions.
 type stack struct {
 	t        *testing.T
 	ts       *httptest.Server
 	coord    *fleet.Coordinator
 	mgr      *jobs.Manager
 	reg      *telemetry.Registry
+	creg     *telemetry.Registry
 	bus      *telemetry.Bus
 	notifier *chaos.Notifier
 	nworkers int
@@ -69,6 +73,7 @@ func newStackTTL(t *testing.T, leaseTTL time.Duration) *stack {
 	}
 	notifier := chaos.NewNotifier()
 	bus := telemetry.NewBus(reg)
+	creg := telemetry.NewRegistry()
 	coord, err := fleet.New(fleet.Config{
 		Local:    jobs.CachedRunner(cache, reg),
 		Cache:    cache,
@@ -83,7 +88,7 @@ func newStackTTL(t *testing.T, leaseTTL time.Duration) *stack {
 		// never attaches a worker at all).
 		WorkerTTL:  10 * time.Second,
 		SweepEvery: 20 * time.Millisecond,
-		Telemetry:  reg,
+		Telemetry:  creg,
 		ExpireHook: notifier.Notify,
 	})
 	if err != nil {
@@ -102,7 +107,7 @@ func newStackTTL(t *testing.T, leaseTTL time.Duration) *stack {
 	srv.Handle("/v1/fleet/", coord.Handler())
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &stack{t: t, ts: ts, coord: coord, mgr: mgr, reg: reg, bus: bus, notifier: notifier}
+	return &stack{t: t, ts: ts, coord: coord, mgr: mgr, reg: reg, creg: creg, bus: bus, notifier: notifier}
 }
 
 // startWorker attaches a (possibly chaos-scripted) worker and waits for
@@ -110,18 +115,42 @@ func newStackTTL(t *testing.T, leaseTTL time.Duration) *stack {
 // registry so per-worker counters are assertable.
 func (s *stack) startWorker(plan *chaos.Plan) *telemetry.Registry {
 	s.t.Helper()
-	s.nworkers++
-	wreg := telemetry.NewRegistry()
-	cfg := fleet.WorkerConfig{
-		Coordinator:  s.ts.URL,
-		Name:         fmt.Sprintf("w%d", s.nworkers),
-		Telemetry:    wreg,
-		ErrorBackoff: 5 * time.Millisecond,
-	}
+	var cfg fleet.WorkerConfig
 	if plan != nil {
 		cfg.Hooks = plan.Hooks()
 		cfg.Client = plan.Client()
 	}
+	return s.launch(cfg)
+}
+
+// startGatedWorker attaches a worker whose runner reports a "measure"
+// span and then holds the job until release closes, before executing it
+// directly.
+func (s *stack) startGatedWorker(release <-chan struct{}) *telemetry.Registry {
+	s.t.Helper()
+	return s.launch(fleet.WorkerConfig{
+		Run: func(ctx context.Context, req *resultcache.Request) (json.RawMessage, error) {
+			telemetry.ProgressFromContext(ctx).Set(telemetry.Progress{Phase: "measure", Done: 1, Total: 3})
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return req.Execute(ctx, nil)
+		},
+	})
+}
+
+// launch names the worker, gives it its own registry, runs it until the
+// test ends, and waits until the coordinator counts it live.
+func (s *stack) launch(cfg fleet.WorkerConfig) *telemetry.Registry {
+	s.t.Helper()
+	s.nworkers++
+	wreg := telemetry.NewRegistry()
+	cfg.Coordinator = s.ts.URL
+	cfg.Name = fmt.Sprintf("w%d", s.nworkers)
+	cfg.Telemetry = wreg
+	cfg.ErrorBackoff = 5 * time.Millisecond
 	w, err := fleet.NewWorker(cfg)
 	if err != nil {
 		s.t.Fatal(err)
@@ -146,7 +175,8 @@ func (s *stack) waitFor(cond func() bool) {
 	s.t.Fatal("condition never became true")
 }
 
-func (s *stack) counter(name string) uint64 { return s.reg.Counter(name).Value() }
+// counter reads a coordinator ("fleet.*") counter.
+func (s *stack) counter(name string) uint64 { return s.creg.Counter(name).Value() }
 
 // submit posts a job and returns its view.
 func (s *stack) submit(body string) jobs.JobView {
@@ -320,6 +350,61 @@ func TestFleetBitIdentityOneVsFourWorkers(t *testing.T) {
 		if !bytes.Equal(b1, b4) {
 			t.Fatalf("artifact %s differs between 1-worker and 4-worker fleets", hash)
 		}
+	}
+}
+
+// TestFleetSingleflightOverHTTP submits one request 8 times concurrently
+// while the only worker holds it at a gate: the manager's singleflight
+// coalesces the duplicates onto one job, which the fleet executes once.
+func TestFleetSingleflightOverHTTP(t *testing.T) {
+	s := newStackTTL(t, 10*time.Second)
+	release := make(chan struct{})
+	s.startGatedWorker(release)
+
+	const n = 8
+	body := fmt.Sprintf(tinyPerf, 5)
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(s.ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var v jobs.JobView
+			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = v.ID
+		}(i)
+	}
+	wg.Wait()
+	close(release)
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, id := range ids {
+		if id != ids[0] {
+			t.Fatalf("submissions got job IDs %v, want one", ids)
+		}
+	}
+	done := s.awaitDone(ids[0])
+	if got := s.reg.Counter("jobs.dedup").Value(); got != n-1 {
+		t.Fatalf("jobs.dedup = %d, want %d", got, n-1)
+	}
+	if rem := s.counter("fleet.dispatch.remote"); rem != 1 {
+		t.Fatalf("fleet.dispatch.remote = %d, want 1", rem)
+	}
+	if ok := s.counter("fleet.completions.ok"); ok != 1 {
+		t.Fatalf("fleet.completions.ok = %d, want 1", ok)
+	}
+	if !bytes.Equal(s.artifactBytes(done.Hash), referenceArtifact(t, done.Hash)) {
+		t.Fatal("singleflight artifact diverged from a direct execution")
 	}
 }
 

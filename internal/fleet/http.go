@@ -1,14 +1,14 @@
 // The fleet wire protocol — the coordinator's HTTP face and the typed
-// client the worker drives it with. Four endpoints, all POST (every one
+// client the worker drives it with. Five endpoints, all POST (every one
 // mutates lease state):
 //
 //	POST /v1/fleet/lease                 long-poll for work
 //	                                     200 Assignment | 204 no work
-//	POST /v1/fleet/lease/{id}/renew      heartbeat
+//	POST /v1/fleet/lease/{id}/renew      heartbeat {"worker","progress"}
 //	                                     200 {"lease_ttl_ms"} | 410 gone
 //	POST /v1/fleet/lease/{id}/checkpoint {"key","snapshot"} mid-run state
 //	                                     200 | 410 zombie
-//	POST /v1/fleet/lease/{id}/complete   body = the artifact bytes
+//	POST /v1/fleet/lease/{id}/complete   {"artifact","telemetry","progress"}
 //	                                     200 | 400 corrupt | 410 zombie
 //	POST /v1/fleet/lease/{id}/fail       {"error","transient"}
 //	                                     200 | 410 zombie
@@ -65,15 +65,11 @@ type leaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-// renewRequest is the heartbeat body: the worker's identity plus its
-// optional piggybacked observability payload — the job's latest progress
-// span and a live snapshot of the worker's per-job registry. Plain
-// leaseRequest bodies (older workers) decode into it with the extras
-// absent, so the wire stays backward compatible.
+// renewRequest is the heartbeat body: the worker's identity plus the
+// job's latest progress span, when it has reported one.
 type renewRequest struct {
-	Worker    string              `json:"worker"`
-	Progress  *telemetry.Progress `json:"progress,omitempty"`
-	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
+	Worker   string              `json:"worker"`
+	Progress *telemetry.Progress `json:"progress,omitempty"`
 }
 
 // renewResponse answers a successful heartbeat.
@@ -81,28 +77,30 @@ type renewResponse struct {
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 }
 
-// completeEnvelope wraps a finished artifact with the job's final
-// telemetry snapshot and progress span. The complete endpoint also still
-// accepts raw artifact bytes (the pre-envelope wire): an artifact can
-// never strict-decode as this envelope — its schema/request fields are
-// unknown here — so sniffing is unambiguous.
+// completeEnvelope is the complete body: the finished artifact with the
+// job's final telemetry snapshot and progress span.
 type completeEnvelope struct {
 	Artifact  []byte              `json:"artifact"`
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	Progress  *telemetry.Progress `json:"progress,omitempty"`
 }
 
-// sniffComplete splits a complete body into artifact bytes plus any
-// envelope extras, falling back to treating the whole body as the
-// artifact (the back-compat path).
-func sniffComplete(body []byte) (artifact []byte, snap *telemetry.Snapshot, prog *telemetry.Progress) {
+// decodeComplete strictly decodes a complete body: one envelope, no
+// unknown fields, nothing after it, and a non-empty artifact.
+func decodeComplete(body []byte) (completeEnvelope, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var env completeEnvelope
-	if err := dec.Decode(&env); err == nil && len(env.Artifact) > 0 {
-		return env.Artifact, env.Telemetry, env.Progress
+	if err := dec.Decode(&env); err != nil {
+		return completeEnvelope{}, fmt.Errorf("fleet: complete body: %w", err)
 	}
-	return body, nil, nil
+	if _, err := dec.Token(); err != io.EOF {
+		return completeEnvelope{}, fmt.Errorf("fleet: complete body: data after the envelope")
+	}
+	if len(env.Artifact) == 0 {
+		return completeEnvelope{}, fmt.Errorf("fleet: complete body: empty artifact")
+	}
+	return env, nil
 }
 
 // failRequest reports a worker-side execution failure.
@@ -119,6 +117,10 @@ type apiError struct {
 // maxCompleteBody bounds completion payloads. Artifacts embed the full
 // result wire JSON, so the ceiling is generous.
 const maxCompleteBody = 16 << 20
+
+// maxLeaseBody bounds the lease and renew bodies: a worker name and at
+// most one progress span.
+const maxLeaseBody = 4096
 
 // Handler returns the coordinator's HTTP surface, routable under
 // /v1/fleet/ (patterns carry full paths, so no prefix stripping).
@@ -146,7 +148,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var lr leaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&lr); err != nil || lr.Worker == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(&lr); err != nil || lr.Worker == "" {
 		writeError(w, http.StatusBadRequest, "lease request must name a worker")
 		return
 	}
@@ -166,10 +168,9 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var rr renewRequest
 	// The renew body is optional; an identified worker refreshes its
-	// liveness horizon alongside the lease, and may piggyback progress
-	// and a live telemetry snapshot (hence the generous body cap).
-	_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&rr)
-	ttl, ok := c.renewWith(id, rr.Worker, rr.Progress, rr.Telemetry)
+	// liveness horizon alongside the lease, and may piggyback progress.
+	_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(&rr)
+	ttl, ok := c.renew(id, rr.Worker, rr.Progress)
 	if !ok {
 		writeError(w, http.StatusGone, "lease %s is gone; abandon the job", id)
 		return
@@ -198,11 +199,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCompleteBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read artifact: %v", err)
+		writeError(w, http.StatusBadRequest, "read complete body: %v", err)
 		return
 	}
-	artifact, snap, prog := sniffComplete(body)
-	switch err := c.completeWith(id, artifact, snap, prog); {
+	switch err := c.complete(id, body); {
 	case errors.Is(err, ErrLeaseGone):
 		writeError(w, http.StatusGone, "lease %s is gone; result discarded", id)
 	case errors.Is(err, ErrBadArtifact):
@@ -275,12 +275,7 @@ func (cl *client) lease(worker string) (*Assignment, error) {
 	}
 }
 
-func (cl *client) renew(leaseID, worker string) (bool, error) {
-	return cl.renewWith(leaseID, renewRequest{Worker: worker})
-}
-
-// renewWith is renew with the piggybacked observability payload.
-func (cl *client) renewWith(leaseID string, rr renewRequest) (bool, error) {
+func (cl *client) renew(leaseID string, rr renewRequest) (bool, error) {
 	body, err := json.Marshal(rr)
 	if err != nil {
 		return false, err
@@ -300,13 +295,7 @@ func (cl *client) checkpoint(leaseID, key string, snapshot []byte) (int, error) 
 	return cl.post("/v1/fleet/lease/"+leaseID+"/checkpoint", body, nil)
 }
 
-func (cl *client) complete(leaseID string, artifact []byte) (int, error) {
-	return cl.post("/v1/fleet/lease/"+leaseID+"/complete", artifact, nil)
-}
-
-// completeEnveloped submits the artifact wrapped with its final
-// telemetry and progress.
-func (cl *client) completeEnveloped(leaseID string, env completeEnvelope) (int, error) {
+func (cl *client) complete(leaseID string, env completeEnvelope) (int, error) {
 	body, err := json.Marshal(env)
 	if err != nil {
 		return 0, err

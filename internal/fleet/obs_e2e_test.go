@@ -4,16 +4,17 @@
 //
 //  1. A fleet job's SSE stream replays the exact lifecycle — queued,
 //     leased, at least one progress span, complete — in bus order.
-//  2. The coordinator's merged fleet snapshot is bit-identical between a
-//     1-worker and a 4-worker fleet: per-job telemetry folds in exactly
-//     once, commutatively, however jobs are scheduled.
+//  2. The coordinator's executor series — every series outside the
+//     "fleet." prefix, merged from verified completions — are
+//     bit-identical between a 1-worker and a 4-worker fleet: per-job
+//     telemetry folds in exactly once, commutatively, however jobs are
+//     scheduled.
 //  3. A worker that dies mid-run has its progress superseded by the
 //     worker that finishes the job — last-wins attribution, no ghosts.
 package fleet_test
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -21,9 +22,7 @@ import (
 	"testing"
 	"time"
 
-	"safeguard/internal/fleet"
 	"safeguard/internal/fleet/chaos"
-	"safeguard/internal/resultcache"
 	"safeguard/internal/telemetry"
 )
 
@@ -31,6 +30,43 @@ import (
 // deposit warm checkpoints, so their event stream is pure lifecycle —
 // the shape the exact-sequence assertion needs.
 const tinyRel = `{"kind":"rel","rel":{"evaluators":["secded"],"modules":20000}}`
+
+// seriesWithout returns the snapshot's series whose names do not start
+// with prefix. On a coordinator registry, seriesWithout(snap, "fleet.")
+// is the executor series merged from verified completions.
+func seriesWithout(snap telemetry.Snapshot, prefix string) telemetry.Snapshot {
+	out := telemetry.Snapshot{
+		Counters:   map[string]uint64{},
+		Gauges:     map[string]float64{},
+		Histograms: map[string]telemetry.HistogramSnapshot{},
+	}
+	for name, v := range snap.Counters {
+		if !strings.HasPrefix(name, prefix) {
+			out.Counters[name] = v
+		}
+	}
+	for name, v := range snap.Gauges {
+		if !strings.HasPrefix(name, prefix) {
+			out.Gauges[name] = v
+		}
+	}
+	for name, v := range snap.Histograms {
+		if !strings.HasPrefix(name, prefix) {
+			out.Histograms[name] = v
+		}
+	}
+	return out
+}
+
+// seriesCount is the number of series in a snapshot.
+func seriesCount(snap telemetry.Snapshot) int {
+	return len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms)
+}
+
+// executorSeries is the coordinator's telemetry outside "fleet.".
+func (s *stack) executorSeries() telemetry.Snapshot {
+	return seriesWithout(s.creg.Snapshot(), "fleet.")
+}
 
 // readJobStream replays one job's SSE stream to its end (the server
 // closes after the terminal event) and returns the decoded events.
@@ -120,9 +156,9 @@ func TestObsSmokeFleetSSELifecycle(t *testing.T) {
 
 // TestObsSmokeFleetMergedSnapshotBitIdentical runs the same job set
 // through a 1-worker fleet and a 4-worker fleet and requires the
-// coordinators' merged fleet snapshots to be bit-identical: per-job
-// telemetry merges exactly once per completion with commutative
-// operations, so scheduling and worker count cannot show through.
+// coordinators' executor series to be bit-identical: per-job telemetry
+// merges exactly once per completion with commutative operations, so
+// scheduling and worker count cannot show through.
 func TestObsSmokeFleetMergedSnapshotBitIdentical(t *testing.T) {
 	const njobs = 4
 
@@ -136,23 +172,14 @@ func TestObsSmokeFleetMergedSnapshotBitIdentical(t *testing.T) {
 	}
 	four.assertNoLossNoDup(four.runJobs(njobs), njobs)
 
-	s1, s4 := one.coord.FleetSnapshot(), four.coord.FleetSnapshot()
-	if len(s1.Counters) == 0 {
-		t.Fatal("1-worker fleet snapshot is empty — workers shipped no telemetry")
+	s1, s4 := one.executorSeries(), four.executorSeries()
+	if s1.Counters["experiments.runs"] == 0 {
+		t.Fatal("1-worker executor series count no experiment runs — workers shipped no telemetry")
 	}
 	if !s1.Equal(s4) {
 		b1, _ := json.Marshal(s1)
 		b4, _ := json.Marshal(s4)
-		t.Fatalf("fleet snapshots diverge between 1 and 4 workers:\n1: %s\n4: %s", b1, b4)
-	}
-	// The per-worker split covers the same completions the aggregate saw.
-	perWorker := four.coord.WorkerSnapshots()
-	var completions uint64
-	for _, ws := range perWorker {
-		completions += ws.Counters["resultcache.execute.perf"]
-	}
-	if completions != s4.Counters["resultcache.execute.perf"] {
-		t.Fatalf("per-worker executions sum to %d, aggregate has %d", completions, s4.Counters["resultcache.execute.perf"])
+		t.Fatalf("executor series diverge between 1 and 4 workers:\n1: %s\n4: %s", b1, b4)
 	}
 }
 
@@ -164,13 +191,13 @@ func TestObsSmokeFleetMergedSnapshotBitIdentical(t *testing.T) {
 func TestChaosKillMidRunProgressSuperseded(t *testing.T) {
 	s := newStack(t)
 	plan := chaos.NewPlan(chaos.Script{0: chaos.KillMidRun}, s.notifier)
-	s.startWorker(plan)
+	w1reg := s.startWorker(plan)
 
 	v := s.submit(fmt.Sprintf(tinyPerf, 7))
 	s.waitFor(func() bool { return len(plan.Fired()) == 1 })
 	s.waitFor(func() bool { return s.counter("fleet.leases.expired") >= 1 })
 
-	s.startWorker(nil)
+	w2reg := s.startWorker(nil)
 	done := s.awaitDone(v.ID)
 
 	if done.Worker != "w2" {
@@ -185,48 +212,29 @@ func TestChaosKillMidRunProgressSuperseded(t *testing.T) {
 		t.Fatalf("terminal event = %+v, want complete from w2", last)
 	}
 	// Only the finisher's accepted completion may merge telemetry: the
-	// fleet aggregate equals w2's contribution alone, and w1 has none.
-	perWorker := s.coord.WorkerSnapshots()
-	if _, ok := perWorker["w1"]; ok {
-		t.Fatal("dead w1 merged telemetry despite never completing")
+	// coordinator's executor series equal w2's own merged job telemetry,
+	// and w1 holds none. A worker merges after its completion's HTTP
+	// round trip returns, which races the job resolving.
+	s.waitFor(func() bool { return w2reg.Counter("sgworker.completions").Value() == 1 })
+	if got, want := s.executorSeries(), seriesWithout(w2reg.Snapshot(), "sgworker."); len(want.Counters) == 0 || !got.Equal(want) {
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		t.Fatalf("coordinator executor series should equal w2's exactly:\ncoordinator: %s\nw2: %s", gb, wb)
 	}
-	if ws, ok := perWorker["w2"]; !ok || !ws.Equal(s.coord.FleetSnapshot()) {
-		t.Fatal("fleet aggregate should equal w2's snapshot exactly")
+	if seriesCount(seriesWithout(w1reg.Snapshot(), "sgworker.")) != 0 {
+		t.Fatal("dead w1 merged telemetry despite never completing")
 	}
 }
 
 // TestObsSmokeHeartbeatLivePreview checks the renew piggyback: while a
 // job is mid-execution (the runner blocks on a gate), its heartbeats
 // carry the in-flight progress span to the coordinator, which forwards
-// it into the manager's job view and the live per-worker preview —
-// without anything merging into the completion aggregates until the job
-// actually completes.
+// it into the manager's job view — and no executor telemetry reaches the
+// coordinator until the job actually completes.
 func TestObsSmokeHeartbeatLivePreview(t *testing.T) {
 	s := newStackTTL(t, 300*time.Millisecond) // heartbeat every 100ms
 	release := make(chan struct{})
-	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		Coordinator:  s.ts.URL,
-		Name:         "w1",
-		Telemetry:    telemetry.NewRegistry(),
-		ErrorBackoff: 5 * time.Millisecond,
-		Run: func(ctx context.Context, req *resultcache.Request) (json.RawMessage, error) {
-			telemetry.ProgressFromContext(ctx).Set(telemetry.Progress{Phase: "measure", Done: 1, Total: 3})
-			select {
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return req.Execute(ctx, nil)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	workerDone := make(chan struct{})
-	go func() { defer close(workerDone); _ = w.Run(ctx) }()
-	t.Cleanup(func() { cancel(); <-workerDone })
-	s.waitFor(func() bool { return s.coord.Ready() == nil })
+	s.startGatedWorker(release)
 
 	v := s.submit(fmt.Sprintf(tinyPerf, 8))
 	// The mid-run span must surface in the job view, attributed to w1,
@@ -235,15 +243,12 @@ func TestObsSmokeHeartbeatLivePreview(t *testing.T) {
 		view, ok := s.mgr.Job(v.ID)
 		return ok && view.Worker == "w1" && view.Progress != nil && view.Progress.Phase == "measure"
 	})
-	if _, ok := s.coord.WorkerLive()["w1"]; !ok {
-		t.Fatal("no live heartbeat snapshot for w1")
-	}
-	if len(s.coord.FleetSnapshot().Counters) != 0 {
-		t.Fatal("fleet aggregate gained counters from heartbeats alone")
+	if seriesCount(s.executorSeries()) != 0 {
+		t.Fatal("coordinator gained executor series from heartbeats alone")
 	}
 	close(release)
 	s.awaitDone(v.ID)
-	if _, ok := s.coord.WorkerSnapshots()["w1"]; !ok {
-		t.Fatal("w1's completion did not register in the per-worker aggregates")
+	if ok := s.counter("fleet.completions.ok"); ok != 1 {
+		t.Fatalf("fleet.completions.ok = %d, want 1", ok)
 	}
 }

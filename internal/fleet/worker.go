@@ -171,9 +171,9 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) error {
 	}
 
 	// Per-assignment observability state: the progress var collects the
-	// executor's phase spans, and the job registry isolates this job's
-	// telemetry so it can ride heartbeats as a live preview and the
-	// complete body as the one merged copy.
+	// executor's phase spans (heartbeats carry the latest), and the job
+	// registry isolates this job's telemetry so the complete body can
+	// carry it as the one copy the coordinator merges.
 	pv := &telemetry.ProgressVar{}
 	jobReg := telemetry.NewRegistry()
 
@@ -190,7 +190,7 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) error {
 		if interval <= 0 {
 			interval = time.Millisecond
 		}
-		go w.heartbeat(a.LeaseID, interval, hbStop, execCancel, pv, jobReg)
+		go w.heartbeat(a.LeaseID, interval, hbStop, execCancel, pv)
 	}
 
 	run := w.cfg.Run
@@ -242,7 +242,7 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) error {
 	if _, p, ok := pv.Load(); ok {
 		env.Progress = &p
 	}
-	code, err := w.cl.completeEnveloped(a.LeaseID, env)
+	code, err := w.cl.complete(a.LeaseID, env)
 	switch {
 	case err != nil:
 		// Partitioned from the coordinator: the lease will expire and the
@@ -264,10 +264,9 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) error {
 // heartbeat renews the lease until stop closes; a gone lease cancels the
 // execution via execCancel. Transport errors are retried on the next
 // tick — heartbeats through a flaky network are exactly when retrying
-// matters. Each renew piggybacks the job's latest progress and a live
-// telemetry snapshot, so the coordinator sees in-flight work without any
-// extra round trips.
-func (w *Worker) heartbeat(leaseID string, interval time.Duration, stop <-chan struct{}, execCancel context.CancelFunc, pv *telemetry.ProgressVar, jobReg *telemetry.Registry) {
+// matters. Each renew piggybacks the job's latest progress span, so the
+// coordinator sees in-flight work without any extra round trips.
+func (w *Worker) heartbeat(leaseID string, interval time.Duration, stop <-chan struct{}, execCancel context.CancelFunc, pv *telemetry.ProgressVar) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -279,9 +278,7 @@ func (w *Worker) heartbeat(leaseID string, interval time.Duration, stop <-chan s
 			if _, p, ok := pv.Load(); ok {
 				rr.Progress = &p
 			}
-			snap := jobReg.Snapshot()
-			rr.Telemetry = &snap
-			ok, err := w.cl.renewWith(leaseID, rr)
+			ok, err := w.cl.renew(leaseID, rr)
 			if err != nil {
 				continue
 			}

@@ -335,7 +335,7 @@ func TestE2EDrainPersistAndResume(t *testing.T) {
 	// resubmitting the latter is a cache hit once its first run finished.
 	m2 := NewManager(Config{Workers: 2, Cache: cache, Telemetry: reg})
 	defer m2.Close()
-	reqs, err := LoadPending(pending, reg)
+	reqs, err := LoadPendingJobs(pending, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestE2EDrainPersistAndResume(t *testing.T) {
 		t.Fatalf("journal holds %d requests", len(reqs))
 	}
 	for _, r := range reqs {
-		v, err := m2.Submit(r)
+		v, err := m2.Submit(r.Request)
 		if err != nil {
 			t.Fatal(err)
 		}

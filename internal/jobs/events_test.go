@@ -255,6 +255,64 @@ func TestServerJobList(t *testing.T) {
 	}
 }
 
+// The job table keeps every queued and running job but only the
+// retainTerminal most recently finished ones: older finished jobs leave
+// the table (404 on lookup), while the drain report still counts them.
+func TestJobTableRetainsBoundedFinishedJobs(t *testing.T) {
+	t.Parallel()
+	const n = retainTerminal + 100
+	reg := telemetry.NewRegistry()
+	stub := func(context.Context, *resultcache.Request) (json.RawMessage, error) {
+		return json.RawMessage(`{}`), nil
+	}
+	ts, m := newTestServer(t, Config{Workers: 2, Runner: stub, Telemetry: reg, Bus: telemetry.NewBus(reg)})
+	var first, last string
+	for i := 0; i < n; i++ {
+		v, err := m.Submit(reqN(t, uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = v.ID
+		}
+		last = v.ID
+		waitState(t, m, v.ID, StateDone)
+	}
+
+	views, total := m.List(0, 0)
+	terminal := 0
+	for _, v := range views {
+		if v.State.Terminal() {
+			terminal++
+		}
+	}
+	if terminal > retainTerminal || total != len(views) {
+		t.Fatalf("table holds %d terminal jobs (total %d), want at most %d", terminal, total, retainTerminal)
+	}
+	status := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := status(first); code != http.StatusNotFound {
+		t.Fatalf("GET first job %s = %d, want 404 (evicted)", first, code)
+	}
+	if code := status(last); code != http.StatusOK {
+		t.Fatalf("GET last job %s = %d, want 200", last, code)
+	}
+
+	rep, err := m.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != n || rep.Failed != 0 || rep.Persisted != 0 || rep.Running != 0 {
+		t.Fatalf("drain report = %+v, want all %d jobs completed", rep, n)
+	}
+}
+
 // readSSE reads `data:` frames off an SSE stream until a terminal event
 // or EOF, returning decoded events and any comment lines.
 func readSSE(t *testing.T, r *bufio.Reader, stopAtTerminal bool) ([]telemetry.JobEvent, []string) {

@@ -99,7 +99,7 @@ type Config struct {
 	// wall-clock time.
 	AfterFunc func(d time.Duration) <-chan time.Time
 	// PendingPath, when non-empty, receives still-queued jobs on a
-	// drain that runs out of time; LoadPending reads it back.
+	// drain that runs out of time; LoadPendingJobs reads it back.
 	PendingPath string
 	// Runner executes requests (default CachedRunner over Cache).
 	Runner Runner
@@ -161,7 +161,7 @@ type Manager struct {
 	cancel context.CancelFunc
 
 	mu          sync.Mutex
-	jobs        map[string]*Job   // id -> job
+	jobs        map[string]*Job   // id -> queued, running, or retained terminal job
 	inflight    map[string]*Job   // hash -> job still queued/running (singleflight)
 	checkpoints map[string]string // hash -> latest checkpoint ref
 	draining    bool
@@ -169,12 +169,23 @@ type Manager struct {
 	queue       chan *Job
 	wg          sync.WaitGroup // one count per accepted, non-terminal job
 
+	// finished holds the terminal jobs still in the table, oldest-finished
+	// first; past retainTerminal the oldest leaves the table. The tallies
+	// count every job that ever finished, evicted or not.
+	finished                        []*Job
+	nCompleted, nFailed, nPersisted int
+
 	submitted, dedup, rejectedFull   *telemetry.Counter
 	rejectedDraining, completed      *telemetry.Counter
 	failed, retried, persisted       *telemetry.Counter
 	queueDepth                       *telemetry.Gauge
 	depthAtSubmit, latencyMS, waitMS *telemetry.Histogram
 }
+
+// retainTerminal bounds the finished jobs the table keeps for lookup and
+// listing — the same bound as the event bus's replay ring. Queued and
+// running jobs are never evicted.
+const retainTerminal = 1024
 
 // queueDepthBounds buckets queue occupancy observed at submit time.
 var queueDepthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
@@ -357,8 +368,9 @@ func (m *Manager) newProgressVar(id, hash string) *telemetry.ProgressVar {
 func (m *Manager) Bus() *telemetry.Bus { return m.cfg.Bus }
 
 // List returns up to limit job snapshots starting at offset in id order
-// (= submission order), plus the total job count. limit <= 0 means no
-// bound beyond the table itself.
+// (= submission order), plus the total job count. The table holds every
+// queued and running job and the retainTerminal most recently finished
+// ones. limit <= 0 means no bound beyond the table itself.
 func (m *Manager) List(offset, limit int) ([]JobView, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -453,8 +465,9 @@ func (m *Manager) QueueDepth() int { return len(m.queue) }
 type DrainReport struct {
 	// Completed and Failed count jobs that reached those states during
 	// (or before) the drain; Persisted counts queued jobs written to the
-	// pending file when the drain deadline hit first. Every accepted job
-	// lands in exactly one bucket once Running reaches zero.
+	// pending file when the drain deadline hit first. The counts include
+	// jobs the table no longer retains: every accepted job lands in
+	// exactly one bucket once Running reaches zero.
 	Completed, Failed, Persisted int
 	// Running counts jobs still executing when the drain returned early
 	// (always zero when the context did not expire).
@@ -495,20 +508,13 @@ func (m *Manager) Drain(ctx context.Context) (DrainReport, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rep := DrainReport{InFlightJournaled: journaled}
-	for _, j := range m.jobs {
-		switch j.state {
-		case StateDone:
-			rep.Completed++
-		case StateFailed:
-			rep.Failed++
-		case StatePersisted:
-			rep.Persisted++
-		default:
-			rep.Running++
-		}
-	}
-	return rep, err
+	return DrainReport{
+		Completed:         m.nCompleted,
+		Failed:            m.nFailed,
+		Persisted:         m.nPersisted,
+		Running:           len(m.jobs) - len(m.finished),
+		InFlightJournaled: journaled,
+	}, err
 }
 
 // persistPending journals the drain's unfinished work: every not-yet-
@@ -598,15 +604,6 @@ type pendingFile struct {
 // pendingSchema versions the drain journal.
 const pendingSchema = "sgserve-pending/1"
 
-// SavePending writes checkpoint-less requests to a drain journal.
-func SavePending(path string, reqs []*resultcache.Request) error {
-	entries := make([]PendingJob, 0, len(reqs))
-	for _, r := range reqs {
-		entries = append(entries, PendingJob{Request: r})
-	}
-	return SavePendingJobs(path, entries)
-}
-
 // SavePendingJobs writes journal entries — requests plus any checkpoint
 // refs — to a drain journal (atomic rename).
 func SavePendingJobs(path string, entries []PendingJob) error {
@@ -621,8 +618,11 @@ func SavePendingJobs(path string, entries []PendingJob) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadPending reads a drain journal and removes it, returning the
-// normalized requests to resubmit. A missing file is an empty resume.
+// LoadPendingJobs reads a drain journal and removes it, returning the
+// normalized entries to resubmit. A missing file is an empty resume.
+// Entries journaled mid-run carry the checkpoint ref last recorded for
+// them, which the resubmitting caller feeds back through
+// Manager.RecordCheckpoint before Submit.
 //
 // Corruption must never block a boot — a crashed drain or a tampered
 // disk costs at worst the journaled jobs, not the service. A journal
@@ -632,21 +632,6 @@ func SavePendingJobs(path string, entries []PendingJob) error {
 // validation is skipped and counted under "jobs.journal.skipped" while
 // the rest resume. Only real I/O faults (permissions, not corruption)
 // surface as errors.
-func LoadPending(path string, reg *telemetry.Registry) ([]*resultcache.Request, error) {
-	entries, err := LoadPendingJobs(path, reg)
-	reqs := make([]*resultcache.Request, 0, len(entries))
-	for _, e := range entries {
-		reqs = append(reqs, e.Request)
-	}
-	if len(reqs) == 0 {
-		reqs = nil
-	}
-	return reqs, err
-}
-
-// LoadPendingJobs is LoadPending with checkpoint refs: entries journaled
-// mid-run carry the ref last recorded for them, which the resubmitting
-// caller feeds back through Manager.RecordCheckpoint before Submit.
 func LoadPendingJobs(path string, reg *telemetry.Registry) ([]PendingJob, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -784,13 +769,23 @@ func (m *Manager) finish(j *Job, st State, msg string) {
 	var evType string
 	switch st {
 	case StateDone:
+		m.nCompleted++
 		m.completed.Inc()
 		// The result exists; its checkpoint is dead weight.
 		delete(m.checkpoints, j.hash)
 		evType = telemetry.EventComplete
 	case StateFailed:
+		m.nFailed++
 		m.failed.Inc()
 		evType = telemetry.EventFailed
+	case StatePersisted:
+		m.nPersisted++
+	}
+	m.finished = append(m.finished, j)
+	if len(m.finished) > retainTerminal {
+		delete(m.jobs, m.finished[0].id)
+		m.finished[0] = nil
+		m.finished = m.finished[1:]
 	}
 	if evType != "" {
 		ev := telemetry.JobEvent{Type: evType, Job: j.id, Hash: j.hash, Attempt: j.attempts, Error: msg}

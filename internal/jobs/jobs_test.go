@@ -355,7 +355,7 @@ func TestDrainPersistsQueuedAndResumes(t *testing.T) {
 
 	// No accepted job was dropped: the journal covers the 3 queued jobs
 	// plus the one still running at the deadline.
-	reqs, err := LoadPending(pending, reg)
+	reqs, err := LoadPendingJobs(pending, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestDrainPersistsQueuedAndResumes(t *testing.T) {
 	}
 	hashes := map[string]bool{}
 	for _, r := range reqs {
-		h, err := r.Hash()
+		h, err := r.Request.Hash()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,9 +375,9 @@ func TestDrainPersistsQueuedAndResumes(t *testing.T) {
 			t.Fatalf("job %s (%s) missing from journal", v.ID, v.Hash)
 		}
 	}
-	// LoadPending consumed the journal.
-	if again, err := LoadPending(pending, reg); err != nil || len(again) != 0 {
-		t.Fatalf("second LoadPending = (%v, %v), want empty", again, err)
+	// LoadPendingJobs consumed the journal.
+	if again, err := LoadPendingJobs(pending, reg); err != nil || len(again) != 0 {
+		t.Fatalf("second LoadPendingJobs = (%v, %v), want empty", again, err)
 	}
 	if n := reg.Snapshot().Counters["jobs.persisted"]; n != 3 {
 		t.Fatalf("persisted counter = %d", n)
@@ -417,7 +417,7 @@ func journalFile(t *testing.T, body string) string {
 
 func TestLoadPendingMissingIsEmptyResume(t *testing.T) {
 	t.Parallel()
-	reqs, err := LoadPending(filepath.Join(t.TempDir(), "absent.json"), nil)
+	reqs, err := LoadPendingJobs(filepath.Join(t.TempDir(), "absent.json"), nil)
 	if err != nil || reqs != nil {
 		t.Fatalf("missing journal = (%v, %v), want empty resume", reqs, err)
 	}
@@ -434,7 +434,7 @@ func TestLoadPendingTruncatedJournalDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := journalFile(t, string(valid[:len(valid)/2]))
-	reqs, err := LoadPending(p, reg)
+	reqs, err := LoadPendingJobs(p, reg)
 	if err != nil || len(reqs) != 0 {
 		t.Fatalf("truncated journal = (%v, %v), want counted empty resume", reqs, err)
 	}
@@ -449,7 +449,7 @@ func TestLoadPendingTruncatedJournalDegrades(t *testing.T) {
 		t.Fatalf("quarantine file: %v", err)
 	}
 	// The next boot is clean: nothing left to trip over.
-	if reqs, err := LoadPending(p, reg); err != nil || len(reqs) != 0 {
+	if reqs, err := LoadPendingJobs(p, reg); err != nil || len(reqs) != 0 {
 		t.Fatalf("reboot after quarantine = (%v, %v)", reqs, err)
 	}
 }
@@ -467,7 +467,7 @@ func TestLoadPendingTamperedRequestSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := journalFile(t, string(raw))
-	reqs, err := LoadPending(p, reg)
+	reqs, err := LoadPendingJobs(p, reg)
 	if err != nil {
 		t.Fatalf("tampered journal failed the boot: %v", err)
 	}
@@ -478,7 +478,7 @@ func TestLoadPendingTamperedRequestSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, err := reqs[0].Hash(); err != nil || h != wantHash {
+	if h, err := reqs[0].Request.Hash(); err != nil || h != wantHash {
 		t.Fatalf("resumed the wrong request (%s, %v)", h, err)
 	}
 	if n := reg.Snapshot().Counters["jobs.journal.skipped"]; n != 2 {
@@ -486,7 +486,7 @@ func TestLoadPendingTamperedRequestSkipped(t *testing.T) {
 	}
 	// A foreign schema is whole-file corruption, not a partial skip.
 	p2 := journalFile(t, `{"schema":"sgserve-pending/999","requests":[]}`)
-	if reqs, err := LoadPending(p2, reg); err != nil || len(reqs) != 0 {
+	if reqs, err := LoadPendingJobs(p2, reg); err != nil || len(reqs) != 0 {
 		t.Fatalf("future schema = (%v, %v), want counted empty resume", reqs, err)
 	}
 	if n := reg.Snapshot().Counters["jobs.journal.corrupt"]; n != 1 {

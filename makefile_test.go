@@ -126,6 +126,7 @@ func TestMakeFuzzTargetsPackageQualified(t *testing.T) {
 		"./internal/resultcache:FuzzParseRequest",
 		"./internal/resultcache:FuzzReadArtifact",
 		"./internal/jobs:FuzzLoadPendingJobs",
+		"./internal/fleet:FuzzDecodeComplete",
 	} {
 		if !strings.Contains(mf, want) {
 			t.Errorf("FUZZ_TARGETS missing %q", want)
