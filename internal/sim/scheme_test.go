@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"safeguard/internal/telemetry"
 )
 
 // TestParseSchemeRoundTrip: every scheme's String() must parse back to
@@ -125,5 +128,47 @@ func TestMitigationPerturbsLittle(t *testing.T) {
 	if diff := (sumBase - sumWith) / sumBase; diff > 0.02 || diff < -0.02 {
 		t.Fatalf("PARA moved aggregate IPC by %.2f%% (%.4f -> %.4f); in-controller defenses must stay cheap",
 			diff*100, sumBase, sumWith)
+	}
+}
+
+// TestBaselineIgnoresMACLatency pins the invariant the perf plan's
+// deduplication rests on: Baseline charges no MAC check (joinLeg zeroes
+// the term), so its result and its telemetry are the same at every MAC
+// latency and one Baseline cell serves every Figure 13 point. SafeGuard
+// is the control: the same sweep must move it.
+func TestBaselineIgnoresMACLatency(t *testing.T) {
+	t.Parallel()
+	run := func(name string, scheme Scheme, mitigation string, mac int64) (Result, telemetry.Snapshot) {
+		cfg := testCfg(name, scheme)
+		cfg.InstrPerCore, cfg.WarmupInstr = 20_000, 10_000
+		cfg.MACLatencyCPU = mac
+		cfg.Attrib = true
+		cfg.Mitigation = mitigation
+		cfg.Telemetry = telemetry.NewRegistry()
+		res, err := NewSystem(cfg).Run()
+		if err != nil {
+			t.Fatalf("%s/%v/%s at MAC %d: %v", name, scheme, mitigation, mac, err)
+		}
+		return res, cfg.Telemetry.Snapshot()
+	}
+	cases := []struct{ workload, mitigation string }{
+		{"mcf", ""}, {"omnetpp", ""}, {"lbm", ""}, {"leela", ""}, {"mcf", "para"},
+	}
+	for _, c := range cases {
+		wantRes, wantSnap := run(c.workload, Baseline, c.mitigation, 8)
+		for _, mac := range []int64{16, 40, 80} {
+			res, snap := run(c.workload, Baseline, c.mitigation, mac)
+			if !reflect.DeepEqual(res, wantRes) {
+				t.Errorf("%s/%s: Baseline result at MAC %d differs from MAC 8", c.workload, c.mitigation, mac)
+			}
+			if !reflect.DeepEqual(snap, wantSnap) {
+				t.Errorf("%s/%s: Baseline telemetry at MAC %d differs from MAC 8", c.workload, c.mitigation, mac)
+			}
+		}
+	}
+	sg8, _ := run("mcf", SafeGuard, "", 8)
+	sg80, _ := run("mcf", SafeGuard, "", 80)
+	if reflect.DeepEqual(sg8.CoreCycles, sg80.CoreCycles) {
+		t.Fatal("SafeGuard's cycles do not depend on MAC latency: the control is inert")
 	}
 }
