@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-check bench-quick ci cover fmt vet lint fuzz-smoke examples-smoke sgprof-smoke snapshot-smoke obs-smoke fleet-chaos synth-smoke synth-baseline synth-baseline-check perfbench-test
+.PHONY: all build test bench bench-check bench-quick ci cover fmt vet lint fuzz-smoke examples-smoke sgprof-smoke snapshot-smoke figures-smoke obs-smoke fleet-chaos synth-smoke synth-baseline synth-baseline-check perfbench-test
 
 all: build
 
@@ -112,7 +112,8 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix \
 	./internal/telemetry:FuzzParseEvent ./internal/telemetry:FuzzReadTraceFile \
 	./internal/resultcache:FuzzParseRequest ./internal/resultcache:FuzzReadArtifact \
-	./internal/jobs:FuzzLoadPendingJobs ./internal/fleet:FuzzDecodeComplete
+	./internal/jobs:FuzzLoadPendingJobs ./internal/fleet:FuzzDecodeComplete \
+	./internal/attrib:FuzzReadReport ./cmd/sgtop:FuzzHandleSSELine
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -151,6 +152,28 @@ snapshot-smoke:
 	cmp $$dir/cold.out $$dir/warm.out || { echo "snapshot-smoke: resumed output diverged from cold run" >&2; rm -rf $$dir; exit 1; }; \
 	rm -rf $$dir; \
 	echo "snapshot smoke OK (cold -> deposit -> resume, byte-identical)"
+
+# figures-smoke proves the figure suite's determinism on the real binary:
+# `sgperf -all` at a tiny budget, with attribution and the stats dump,
+# prints the same bytes on one worker and on four, cold into a -snapshot
+# warm-start pool, and resumed from it. The two snapshot runs add the
+# pool's own resultcache.* counters to the stats dump; those lines are
+# dropped before comparing.
+FIGURES_SMOKE_FLAGS := -all -workloads mcf,leela -instr 4000 -warmup 2000 -seeds 2 -attrib -stats text
+figures-smoke:
+	@tmp=$$(mktemp -d /tmp/figures-smoke-XXXXXX); \
+	$(GO) build -o $$tmp/sgperf ./cmd/sgperf || { rm -rf $$tmp; exit 1; }; \
+	GOMAXPROCS=1 $$tmp/sgperf $(FIGURES_SMOKE_FLAGS) > $$tmp/one.out || { rm -rf $$tmp; exit 1; }; \
+	GOMAXPROCS=4 $$tmp/sgperf $(FIGURES_SMOKE_FLAGS) > $$tmp/four.out || { rm -rf $$tmp; exit 1; }; \
+	$$tmp/sgperf $(FIGURES_SMOKE_FLAGS) -snapshot $$tmp/pool > $$tmp/cold.raw || { rm -rf $$tmp; exit 1; }; \
+	$$tmp/sgperf $(FIGURES_SMOKE_FLAGS) -snapshot $$tmp/pool -resume > $$tmp/resumed.raw || { rm -rf $$tmp; exit 1; }; \
+	grep -v ' resultcache\.' $$tmp/cold.raw > $$tmp/cold.out; \
+	grep -v ' resultcache\.' $$tmp/resumed.raw > $$tmp/resumed.out; \
+	for run in four cold resumed; do \
+		cmp $$tmp/one.out $$tmp/$$run.out || { echo "figures-smoke: the $$run run diverged from the one-worker run" >&2; rm -rf $$tmp; exit 1; }; \
+	done; \
+	rm -rf $$tmp; \
+	echo "figures smoke OK (sgperf -all: 1 vs 4 workers, cold vs resumed pool, byte-identical)"
 
 # obs-smoke proves the observability plane end to end: first the
 # ObsSmoke test suite under the race detector (executor progress spans,
@@ -272,8 +295,9 @@ cover:
 # (includes the figure-shape regression tests in figures_test.go and one
 # pass over each fleet chaos scenario), the coverage gate, a short fuzz
 # pass over every codec, the example programs, the sgprof profiler
-# smoke, the checkpoint/restore smoke, the observability smoke, the
-# attack-synthesis determinism smoke, and the benchmark module's tests. The CI workflow additionally
+# smoke, the checkpoint/restore smoke, the figure-suite determinism
+# smoke, the observability smoke, the attack-synthesis determinism
+# smoke, and the benchmark module's tests. The CI workflow additionally
 # repeats the chaos scenarios via `make fleet-chaos`.
 ci: vet fmt
 	$(MAKE) lint
@@ -283,6 +307,7 @@ ci: vet fmt
 	$(MAKE) examples-smoke
 	$(MAKE) sgprof-smoke
 	$(MAKE) snapshot-smoke
+	$(MAKE) figures-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) synth-smoke
 	$(MAKE) perfbench-test

@@ -217,25 +217,16 @@ func BenchmarkFigure10ReliabilityChipkill(b *testing.B) {
 // Figures 7, 11, 12, 13: performance
 // ---------------------------------------------------------------------------
 
-func renderPerfBench(title string, res experiments.PerfResult, schemes ...sim.Scheme) {
-	headers := append([]string{"workload", "base IPC"}, make([]string, 0, len(schemes))...)
-	for _, s := range schemes {
-		headers = append(headers, s.String())
-	}
-	t := report.NewTable(title, headers...)
-	for _, row := range res.Rows {
-		cells := []string{row.Workload, fmt.Sprintf("%.3f", row.BaseIPC)}
-		for _, s := range schemes {
-			cells = append(cells, report.Percent(row.Slowdown[s]))
+// renderFigure prints a perf result with the figure suite's renderer,
+// under the title sgperf gives the named figure.
+func renderFigure(name string, res experiments.FigureResult) {
+	for _, f := range experiments.SuiteFigures() {
+		if f.Name == name {
+			res.Figure = f
 		}
-		t.AddRowStrings(cells...)
 	}
-	cells := []string{"AVERAGE", ""}
-	for _, s := range schemes {
-		cells = append(cells, report.Percent(res.Average(s)))
-	}
-	t.AddRowStrings(cells...)
-	t.Render(os.Stdout)
+	fmt.Println()
+	res.Render(os.Stdout)
 }
 
 func BenchmarkFigure7PerfSECDED(b *testing.B) {
@@ -249,7 +240,7 @@ func BenchmarkFigure7PerfSECDED(b *testing.B) {
 		}
 	}
 	once("fig7", func() {
-		renderPerfBench("\nFigure 7: SafeGuard vs SECDED (paper: avg 0.7%, omnetpp worst 3.6%)", res, sim.SafeGuard)
+		renderFigure("fig7", experiments.FigureResult{Perf: res})
 	})
 	b.ReportMetric(res.Average(sim.SafeGuard)*100, "avg_slowdown_%")
 	_, worst := res.Worst(sim.SafeGuard)
@@ -270,7 +261,7 @@ func BenchmarkFigure11PerfChipkill(b *testing.B) {
 		}
 	}
 	once("fig11", func() {
-		renderPerfBench("\nFigure 11: SafeGuard vs Chipkill (paper: avg 0.7%)", res, sim.SafeGuard)
+		renderFigure("fig11", experiments.FigureResult{Perf: res})
 	})
 	b.ReportMetric(res.Average(sim.SafeGuard)*100, "avg_slowdown_%")
 }
@@ -286,8 +277,7 @@ func BenchmarkFigure12PerfMACOrgs(b *testing.B) {
 		}
 	}
 	once("fig12", func() {
-		renderPerfBench("\nFigure 12: MAC organizations (paper: SafeGuard 0.7%, Synergy 7.8%, SGX 18.7%)",
-			res, sim.SafeGuard, sim.SynergyStyle, sim.SGXStyle)
+		renderFigure("fig12", experiments.FigureResult{Perf: res})
 	})
 	b.ReportMetric(res.Average(sim.SafeGuard)*100, "safeguard_%")
 	b.ReportMetric(res.Average(sim.SynergyStyle)*100, "synergy_%")
@@ -306,15 +296,7 @@ func BenchmarkFigure13MACLatency(b *testing.B) {
 		}
 	}
 	once("fig13", func() {
-		t := report.NewTable("\nFigure 13: MAC-latency sensitivity (paper: SafeGuard 0.7%@8 to 5.8%@80)",
-			"MAC cycles", "SafeGuard", "Synergy-style", "SGX-style")
-		for _, p := range points {
-			t.AddRowStrings(fmt.Sprint(p.MACLatencyCPU),
-				report.Percent(p.Average[sim.SafeGuard]),
-				report.Percent(p.Average[sim.SynergyStyle]),
-				report.Percent(p.Average[sim.SGXStyle]))
-		}
-		t.Render(os.Stdout)
+		renderFigure("fig13", experiments.FigureResult{Points: points})
 	})
 	b.ReportMetric(points[len(points)-1].Average[sim.SafeGuard]*100, "safeguard_at_80cyc_%")
 }
@@ -662,8 +644,7 @@ func BenchmarkExtensionFullSGX(b *testing.B) {
 		}
 	}
 	once("ext-fullsgx", func() {
-		renderPerfBench("\nExtension: full SGX (counters+tree) vs the paper's MAC-only comparison",
-			res, sim.SafeGuard, sim.SGXStyle, sim.SGXFullStyle)
+		renderFigure("fullsgx", experiments.FigureResult{Perf: res})
 	})
 	b.ReportMetric(res.Average(sim.SGXFullStyle)*100, "sgx_full_%")
 	if res.Average(sim.SGXFullStyle) < res.Average(sim.SGXStyle)*0.95 {

@@ -32,8 +32,6 @@ import (
 	"safeguard/internal/cliflags"
 	"safeguard/internal/experiments"
 	"safeguard/internal/memctrl"
-	"safeguard/internal/report"
-	"safeguard/internal/resultcache"
 	"safeguard/internal/sim"
 	"safeguard/internal/telemetry"
 )
@@ -70,21 +68,18 @@ func main() {
 		fmt.Printf("mitigations: %s\n", strings.Join(memctrl.MitigationNames(), ", "))
 		return
 	}
-	if err := cliflags.Exclusive(*all, map[string]bool{
+	selected := map[string]bool{
 		"fig7": *fig7, "fig11": *fig11, "fig12": *fig12, "fig13": *fig13,
 		"fullsgx": *fullsgx, "schemes": *schemes != "",
-	}); err != nil {
+	}
+	if err := cliflags.Exclusive(*all, selected); err != nil {
 		cliflags.Fail(err)
 	}
 	customSchemes, err := cliflags.ParseSchemeList(*schemes)
 	if err != nil {
 		cliflags.Fail(err)
 	}
-	effTh := *threshold
-	if effTh == 0 {
-		effTh = 4800
-	}
-	if _, err := memctrl.NewMitigationPlugin(*mitigation, effTh, 1); err != nil {
+	if err := memctrl.CheckMitigation(*mitigation, *threshold); err != nil {
 		cliflags.Fail(err)
 	}
 	if err := sf.Validate(); err != nil {
@@ -102,10 +97,7 @@ func main() {
 		cfg.WarmupInstr = *warmup
 	}
 	if *seeds > 0 {
-		cfg.Seeds = cfg.Seeds[:0]
-		for s := 1; s <= *seeds; s++ {
-			cfg.Seeds = append(cfg.Seeds, uint64(s))
-		}
+		cfg.Seeds = cliflags.Seeds(*seeds)
 	}
 	if *wl != "" {
 		cfg.Workloads = strings.Split(*wl, ",")
@@ -128,131 +120,37 @@ func main() {
 	if *mitigation != "" {
 		tf.SetTraceMeta("mitigation", *mitigation)
 	}
-	if sf.Enabled() {
-		store, err := resultcache.New(resultcache.Options{Dir: sf.Dir, Telemetry: tf.Registry})
-		if err != nil {
+	if cfg.WarmPool, err = sf.WarmStore(tf.Registry); err != nil {
+		fmt.Fprintln(os.Stderr, "sgperf:", err)
+		os.Exit(1)
+	}
+
+	// The selected figures run as one plan: each distinct simulation once,
+	// in print order, so an interrupt leaves the earliest figures whole.
+	var figs []experiments.Figure
+	if len(customSchemes) > 0 {
+		figs = append(figs, experiments.Figure{Title: "Custom scheme comparison (slowdown vs baseline)", Schemes: customSchemes})
+	}
+	for _, f := range experiments.SuiteFigures() {
+		if *all || selected[f.Name] {
+			figs = append(figs, f)
+		}
+	}
+	results, err := experiments.NewPlan(cfg, figs...).Run(ctx)
+	for _, r := range results {
+		switch {
+		case r.Complete:
+		case errors.Is(err, context.Canceled):
+			fmt.Println("[interrupted — printing partial results]")
+		default:
 			fmt.Fprintln(os.Stderr, "sgperf:", err)
 			os.Exit(1)
 		}
-		pool := resultcache.NewWarmPool(store)
-		if sf.Resume {
-			cfg.WarmPool = pool
-		} else {
-			cfg.WarmPool = pool.DepositOnly()
-		}
+		r.Render(os.Stdout)
 	}
-
-	if len(customSchemes) > 0 {
-		res, err := experiments.RunSchemes(ctx, cfg, customSchemes)
-		interrupted(err)
-		renderSchemes("Custom scheme comparison (slowdown vs baseline)", res, customSchemes, nil)
-	}
-	if *fig7 || *all {
-		res, err := experiments.Figure7(ctx, cfg)
-		interrupted(err)
-		renderPerf("Figure 7: SafeGuard vs SECDED (slowdown per workload; paper avg 0.7%)",
-			res, sim.SafeGuard)
-	}
-	if *fig11 || *all {
-		res, err := experiments.Figure11(ctx, cfg)
-		interrupted(err)
-		renderPerf("Figure 11: SafeGuard vs Chipkill (slowdown per workload; paper avg 0.7%)",
-			res, sim.SafeGuard)
-	}
-	if *fig12 || *all {
-		res, err := experiments.Figure12(ctx, cfg)
-		interrupted(err)
-		renderSchemes("Figure 12: MAC organizations (slowdown vs baseline; paper: SGX 18.7%, Synergy 7.8%, SafeGuard 0.7%)",
-			res, []sim.Scheme{sim.SafeGuard, sim.SGXStyle, sim.SynergyStyle}, nil)
-	}
-	if *fullsgx || *all {
-		c := cfg
-		if len(c.Workloads) == 0 {
-			c.Workloads = []string{"mcf", "omnetpp", "lbm", "gcc", "leela"}
-		}
-		fullSGX := []sim.Scheme{sim.SafeGuard, sim.SGXStyle, sim.SGXFullStyle}
-		res, err := experiments.RunSchemes(ctx, c, fullSGX)
-		interrupted(err)
-		renderSchemes("Extension: full SGX (MAC + counters + integrity tree), the metadata the paper's comparison excluded",
-			res, fullSGX, []string{"SafeGuard", "SGX-style (MAC only)", "SGX-full (counters+tree)"})
-	}
-	if *fig13 || *all {
-		points, err := experiments.Figure13(ctx, cfg, []int64{8, 16, 40, 80})
-		interrupted(err)
-		t := report.NewTable("Figure 13: sensitivity to MAC latency (average slowdown; paper: SafeGuard 5.8% at 80 cycles)",
-			"MAC latency (CPU cycles)", "SafeGuard", "SGX-style", "Synergy-style")
-		for _, p := range points {
-			t.AddRowStrings(fmt.Sprint(p.MACLatencyCPU),
-				report.Percent(p.Average[sim.SafeGuard]),
-				report.Percent(p.Average[sim.SGXStyle]),
-				report.Percent(p.Average[sim.SynergyStyle]))
-		}
-		t.Render(os.Stdout)
-		fmt.Println()
-	}
-	if cfg.Attrib && cfg.Telemetry != nil {
+	if cfg.Attrib {
 		rep := attrib.NewReport()
 		rep.AddStacksFromSnapshot(cfg.Telemetry.Snapshot())
 		rep.WriteText(os.Stdout)
 	}
-}
-
-// interrupted handles an experiment error: cancellation prints a partial-
-// results banner and lets the already-collected rows render; any other
-// error is fatal.
-func interrupted(err error) {
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled):
-		fmt.Println("[interrupted — printing partial results]")
-	default:
-		fmt.Fprintln(os.Stderr, "sgperf:", err)
-		os.Exit(1)
-	}
-}
-
-func renderPerf(title string, res experiments.PerfResult, scheme sim.Scheme) {
-	if len(res.Rows) == 0 {
-		fmt.Println(title)
-		fmt.Println("  (no workload completed)")
-		fmt.Println()
-		return
-	}
-	t := report.NewTable(title, "workload", "base IPC", "slowdown")
-	for _, row := range res.Rows {
-		t.AddRowStrings(row.Workload, fmt.Sprintf("%.3f", row.BaseIPC), report.Percent(row.Slowdown[scheme]))
-	}
-	worstName, worst := res.Worst(scheme)
-	t.AddRowStrings("AVERAGE", "", report.Percent(res.Average(scheme)))
-	t.AddRowStrings("WORST ("+worstName+")", "", report.Percent(worst))
-	t.Render(os.Stdout)
-	fmt.Println()
-}
-
-// renderSchemes prints a workload x scheme slowdown table with an AVERAGE
-// row. headers label the scheme columns; nil uses the scheme names.
-func renderSchemes(title string, res experiments.PerfResult, schemes []sim.Scheme, headers []string) {
-	cols := []string{"workload"}
-	for i, s := range schemes {
-		if headers != nil {
-			cols = append(cols, headers[i])
-		} else {
-			cols = append(cols, s.String())
-		}
-	}
-	t := report.NewTable(title, cols...)
-	for _, row := range res.Rows {
-		cells := []string{row.Workload}
-		for _, s := range schemes {
-			cells = append(cells, report.Percent(row.Slowdown[s]))
-		}
-		t.AddRowStrings(cells...)
-	}
-	avg := []string{"AVERAGE"}
-	for _, s := range schemes {
-		avg = append(avg, report.Percent(res.Average(s)))
-	}
-	t.AddRowStrings(avg...)
-	t.Render(os.Stdout)
-	fmt.Println()
 }

@@ -33,7 +33,6 @@ import (
 	"safeguard/internal/dram"
 	"safeguard/internal/experiments"
 	"safeguard/internal/memctrl"
-	"safeguard/internal/resultcache"
 	"safeguard/internal/telemetry"
 )
 
@@ -89,7 +88,7 @@ func main() {
 	case *run:
 		cfg := experiments.ProfileConfig{
 			Workload:      *wl,
-			Seeds:         seedList(*seeds),
+			Seeds:         cliflags.Seeds(max(*seeds, 1)),
 			Parallelism:   *workers,
 			InstrPerCore:  *instr,
 			WarmupInstr:   *warmup,
@@ -100,31 +99,17 @@ func main() {
 			Telemetry:     tf.Registry,
 			Trace:         tf.Tracer,
 		}
-		if sf.Enabled() {
-			store, err := resultcache.New(resultcache.Options{Dir: sf.Dir, Telemetry: tf.Registry})
-			if err != nil {
-				fatal(err)
-			}
-			pool := resultcache.NewWarmPool(store)
-			if sf.Resume {
-				cfg.WarmPool = pool
-			} else {
-				cfg.WarmPool = pool.DepositOnly()
-			}
+		var err error
+		if cfg.WarmPool, err = sf.WarmStore(tf.Registry); err != nil {
+			fatal(err)
 		}
 		list, err := cliflags.ParseSchemeList(*schemes)
 		if err != nil {
 			cliflags.Fail(err)
 		}
 		cfg.Schemes = list
-		if *mitigation != "" {
-			effTh := *threshold
-			if effTh == 0 {
-				effTh = 4800
-			}
-			if _, err := memctrl.NewMitigationPlugin(*mitigation, effTh, 1); err != nil {
-				cliflags.Fail(err)
-			}
+		if err := memctrl.CheckMitigation(*mitigation, *threshold); err != nil {
+			cliflags.Fail(err)
 		}
 		res, err := experiments.Profile(ctx, cfg)
 		if err != nil {
@@ -225,17 +210,6 @@ func stampMeta(rep *attrib.Report, tf *cliflags.TelemetryFlags) {
 	if wl, ok := rep.Meta["workload"]; ok {
 		tf.SetTraceMeta("workload", wl)
 	}
-}
-
-func seedList(n int) []uint64 {
-	if n <= 0 {
-		n = 1
-	}
-	out := make([]uint64, 0, n)
-	for s := 1; s <= n; s++ {
-		out = append(out, uint64(s))
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -39,3 +39,12 @@ func ParseSchemeList(csv string) ([]sim.Scheme, error) {
 	}
 	return out, nil
 }
+
+// Seeds is the -seeds list: 1..n.
+func Seeds(n int) []uint64 {
+	out := make([]uint64, 0, n)
+	for s := 1; s <= n; s++ {
+		out = append(out, uint64(s))
+	}
+	return out
+}

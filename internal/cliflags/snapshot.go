@@ -3,6 +3,10 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+
+	"safeguard/internal/experiments"
+	"safeguard/internal/resultcache"
+	"safeguard/internal/telemetry"
 )
 
 // SnapshotFlags wires the checkpoint/warm-start flags shared by the cmd
@@ -43,3 +47,20 @@ func (sf *SnapshotFlags) Validate() error {
 
 // Enabled reports whether a snapshot store is configured.
 func (sf *SnapshotFlags) Enabled() bool { return sf.Dir != "" }
+
+// WarmStore opens the store as the perf tools' warm-start pool, counting
+// its traffic in reg: deposit-only unless -resume, nil without -snapshot.
+func (sf *SnapshotFlags) WarmStore(reg *telemetry.Registry) (experiments.WarmStore, error) {
+	if !sf.Enabled() {
+		return nil, nil
+	}
+	store, err := resultcache.New(resultcache.Options{Dir: sf.Dir, Telemetry: reg})
+	if err != nil {
+		return nil, err
+	}
+	pool := resultcache.NewWarmPool(store)
+	if !sf.Resume {
+		return pool.DepositOnly(), nil
+	}
+	return pool, nil
+}

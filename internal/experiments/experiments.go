@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -88,13 +89,6 @@ func FullPerf() PerfConfig {
 	}
 }
 
-func (c PerfConfig) workloads() []string {
-	if len(c.Workloads) > 0 {
-		return c.Workloads
-	}
-	return workload.Names()
-}
-
 // PerfRow is one workload's result across schemes.
 type PerfRow struct {
 	Workload string
@@ -130,161 +124,137 @@ func (r PerfResult) Worst(s sim.Scheme) (string, float64) {
 	return name, worst
 }
 
-// runPerf executes the sweep for the given schemes, averaging seeds. A
-// failing simulation (bad workload name, cycle-limit blowout) or a
-// cancelled context aborts the sweep with an error instead of panicking
-// the worker pool.
-func runPerf(ctx context.Context, cfg PerfConfig, schemes []sim.Scheme) (PerfResult, error) {
-	names := cfg.workloads()
-	type job struct {
-		wIdx   int
-		scheme sim.Scheme
-		seed   uint64
-	}
-	type out struct {
-		job
-		ipc float64
-	}
-	jobs := make([]job, 0, len(names)*(len(schemes)+1)*len(cfg.Seeds))
-	all := append([]sim.Scheme{sim.Baseline}, schemes...)
-	for wi := range names {
-		for _, sch := range all {
-			for _, seed := range cfg.Seeds {
-				jobs = append(jobs, job{wIdx: wi, scheme: sch, seed: seed})
-			}
-		}
-	}
-	// Progress spans ride the context: one write before the pool starts
-	// (the warm-up phase every cell begins with) and one per finished
-	// cell — coarse enough to cost nothing against a simulation run.
-	pv := telemetry.ProgressFromContext(ctx)
-	pv.Set(telemetry.Progress{Phase: "warmup", Done: 0, Total: int64(len(jobs))})
+// Cell is one perf simulation: the unit every perf experiment is a list
+// of, and the unit a Plan runs once however many figures use it. Cells
+// are comparable, so a Cell is its own deduplication key.
+type Cell struct {
+	Workload      string
+	Scheme        sim.Scheme
+	Seed          uint64
+	InstrPerCore  int64
+	WarmupInstr   int64
+	MACLatencyCPU int64
+	ECCDecodeCPU  int64
+	Mitigation    string
+	RHThreshold   int
+	Attrib        bool
+}
 
+// canonical pins a Baseline cell's MAC latency to Table II's 8. Baseline
+// never charges a MAC check (sim's joinLeg zeroes the term; see
+// sim.TestBaselineIgnoresMACLatency), so one Baseline cell serves every
+// MAC latency — every Figure 13 point shares it.
+func (c Cell) canonical() Cell {
+	if c.Scheme == sim.Baseline {
+		c.MACLatencyCPU = 8
+	}
+	return c
+}
+
+// Config builds the cell's simulator configuration: Table II's machine
+// with the cell's workload, scheme, seed, budgets and knobs.
+func (c Cell) Config() (sim.Config, error) {
+	p, err := workload.ByName(c.Workload)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	sc := sim.DefaultConfig()
+	sc.Workload = p
+	sc.Scheme = c.Scheme
+	sc.Seed = c.Seed
+	sc.InstrPerCore, sc.WarmupInstr = c.InstrPerCore, c.WarmupInstr
+	sc.MACLatencyCPU, sc.ECCDecodeCPU = c.canonical().MACLatencyCPU, c.ECCDecodeCPU
+	sc.Mitigation, sc.RHThreshold = c.Mitigation, c.RHThreshold
+	sc.Attrib = c.Attrib
+	return sc, nil
+}
+
+// RunCells simulates every cell once, in order, on cfg.Parallelism
+// workers (GOMAXPROCS when 0), and hands each finished cell to done on
+// the calling goroutine, one call at a time. Of cfg it reads only the
+// pool fields: with Telemetry set each run writes a private registry,
+// passed to done unmerged; Trace gets every run's events; WarmPool
+// warm-starts runs unless Trace is set.
+// Progress rides ctx: "warmup", then "measure" per finished cell. The
+// first error stops the pool; on cancellation the cells that finished
+// have been handed to done before ctx's error returns.
+func RunCells(ctx context.Context, cfg PerfConfig, cells []Cell, done func(i int, res sim.Result, reg *telemetry.Registry)) error {
+	pv := telemetry.ProgressFromContext(ctx)
+	pv.Set(telemetry.Progress{Phase: "warmup", Done: 0, Total: int64(len(cells))})
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	jobCh := make(chan job)
-	outCh := make(chan out, len(jobs))
-	errs := make([]error, workers)
-	var bail atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+		stop atomic.Bool // set by the first failing cell
+		outs = make(chan cellRun)
+	)
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for j := range jobCh {
-				if bail.Load() || ctx.Err() != nil {
-					continue // drain the channel without working
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(cells) || stop.Load() || ctx.Err() != nil {
+					return
 				}
-				p, err := workload.ByName(names[j.wIdx])
-				if err != nil {
-					errs[w] = err
-					bail.Store(true)
-					continue
+				r := cells[i].run(ctx, cfg)
+				if r.err != nil {
+					stop.Store(true)
 				}
-				sc := sim.DefaultConfig()
-				sc.Workload = p
-				sc.Scheme = j.scheme
-				sc.MACLatencyCPU = cfg.MACLatencyCPU
-				sc.InstrPerCore = cfg.InstrPerCore
-				sc.WarmupInstr = cfg.WarmupInstr
-				sc.Seed = j.seed
-				sc.Mitigation = cfg.Mitigation
-				sc.RHThreshold = cfg.RHThreshold
-				sc.Attrib = cfg.Attrib
-				if cfg.Telemetry != nil {
-					sc.Telemetry = telemetry.NewRegistry()
-				}
-				sc.Trace = cfg.Trace
-				var res sim.Result
-				if cfg.WarmPool != nil && cfg.Trace == nil {
-					res, err = runWarmPooled(ctx, sc, cfg.WarmPool)
-				} else {
-					res, err = sim.NewSystem(sc).RunContext(ctx)
-				}
-				if err != nil {
-					errs[w] = fmt.Errorf("experiments: %s/%v/seed%d: %w", names[j.wIdx], j.scheme, j.seed, err)
-					bail.Store(true)
-					continue
-				}
-				if cfg.Telemetry != nil {
-					sc.Telemetry.Counter("experiments.runs").Inc()
-					// Merge is commutative, so concurrent per-run merges
-					// land on the same totals regardless of scheduling.
-					cfg.Telemetry.Merge(sc.Telemetry)
-				}
-				outCh <- out{job: j, ipc: res.HarmonicMeanIPC()}
+				r.i = i
+				outs <- r
 			}
-		}(w)
+		}()
 	}
 	go func() {
-		for _, j := range jobs {
-			jobCh <- j
-		}
-		close(jobCh)
 		wg.Wait()
-		close(outCh)
+		close(outs)
 	}()
-
-	// Mean IPC per (workload, scheme).
-	sums := make(map[[2]int]float64)
-	counts := make(map[[2]int]int)
-	schemeIdx := func(s sim.Scheme) int { return int(s) }
-	var cells int64
-	for o := range outCh {
-		cells++
-		pv.Set(telemetry.Progress{Phase: "measure", Done: cells, Total: int64(len(jobs))})
-		k := [2]int{o.wIdx, schemeIdx(o.scheme)}
-		sums[k] += o.ipc
-		counts[k]++
-	}
-	mean := func(wi int, s sim.Scheme) float64 {
-		k := [2]int{wi, schemeIdx(s)}
-		return sums[k] / float64(counts[k])
-	}
-	complete := func(wi int) bool {
-		if counts[[2]int{wi, schemeIdx(sim.Baseline)}] == 0 {
-			return false
-		}
-		for _, sch := range schemes {
-			if counts[[2]int{wi, schemeIdx(sch)}] == 0 {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Build the result from whatever finished, so an interrupted run can
-	// still report the workloads it completed.
-	result := PerfResult{Schemes: schemes}
-	for wi, name := range names {
-		if !complete(wi) {
+	var first error
+	n := 0
+	for r := range outs {
+		if r.err != nil {
+			c := cells[r.i]
+			first = cmp.Or(first, fmt.Errorf("experiments: %s/%v/seed%d: %w", c.Workload, c.Scheme, c.Seed, r.err))
 			continue
 		}
-		base := mean(wi, sim.Baseline)
-		row := PerfRow{Workload: name, BaseIPC: base, Slowdown: make(map[sim.Scheme]float64)}
-		for _, sch := range schemes {
-			row.Slowdown[sch] = base/mean(wi, sch) - 1
-		}
-		result.Rows = append(result.Rows, row)
+		n++
+		pv.Set(telemetry.Progress{Phase: "measure", Done: int64(n), Total: int64(len(cells))})
+		done(r.i, r.res, r.reg)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return result, err
-		}
+	return cmp.Or(first, ctx.Err())
+}
+
+// cellRun is one cell's outcome inside RunCells.
+type cellRun struct {
+	i   int
+	res sim.Result
+	reg *telemetry.Registry
+	err error
+}
+
+// run simulates the cell with cfg's telemetry, trace and warm pool.
+func (c Cell) run(ctx context.Context, cfg PerfConfig) cellRun {
+	sc, err := c.Config()
+	if err != nil {
+		return cellRun{err: err}
 	}
-	if err := ctx.Err(); err != nil {
-		return result, err
+	if cfg.Telemetry != nil {
+		sc.Telemetry = telemetry.NewRegistry()
 	}
-	return result, nil
+	sc.Trace = cfg.Trace
+	res, err := WarmRun(ctx, sc, cfg.WarmPool)
+	return cellRun{res: res, reg: sc.Telemetry, err: err}
 }
 
 // Figure7 reproduces the SafeGuard-vs-SECDED performance figure: the
 // baseline is conventional SECDED (no MAC), SafeGuard adds the per-read MAC
 // check. Paper: 0.7% average, omnetpp worst at 3.6%.
 func Figure7(ctx context.Context, cfg PerfConfig) (PerfResult, error) {
-	return runPerf(ctx, cfg, []sim.Scheme{sim.SafeGuard})
+	return RunSchemes(ctx, cfg, []sim.Scheme{sim.SafeGuard})
 }
 
 // Figure11 reproduces SafeGuard-vs-Chipkill. The timing model of the
@@ -293,14 +263,14 @@ func Figure7(ctx context.Context, cfg PerfConfig) (PerfResult, error) {
 // read), so the experiment mirrors Figure 7 — as the paper itself notes
 // ("similar to the slowdown when implemented with SECDED").
 func Figure11(ctx context.Context, cfg PerfConfig) (PerfResult, error) {
-	return runPerf(ctx, cfg, []sim.Scheme{sim.SafeGuard})
+	return RunSchemes(ctx, cfg, []sim.Scheme{sim.SafeGuard})
 }
 
 // Figure12 compares the MAC organizations: SafeGuard vs SGX-style (extra
 // MAC-line read per read) vs Synergy-style (extra parity write per write).
 // Paper: 0.7% / 18.7% / 7.8%.
 func Figure12(ctx context.Context, cfg PerfConfig) (PerfResult, error) {
-	return runPerf(ctx, cfg, []sim.Scheme{sim.SafeGuard, sim.SGXStyle, sim.SynergyStyle})
+	return RunSchemes(ctx, cfg, macOrgs)
 }
 
 // Figure13Point is one MAC-latency sample of the sensitivity sweep.
@@ -311,25 +281,22 @@ type Figure13Point struct {
 
 // Figure13 sweeps the MAC latency (paper: 8 to 80 processor cycles) for the
 // three MAC organizations and reports the average slowdown at each point.
+// All points run as one cell set, so Baseline runs once per workload and
+// seed rather than once per point.
 func Figure13(ctx context.Context, cfg PerfConfig, latencies []int64) ([]Figure13Point, error) {
 	if len(latencies) == 0 {
 		latencies = []int64{8, 16, 40, 80}
 	}
-	points := make([]Figure13Point, 0, len(latencies))
-	for _, lat := range latencies {
-		c := cfg
-		c.MACLatencyCPU = lat
-		res, err := runPerf(ctx, c, []sim.Scheme{sim.SafeGuard, sim.SGXStyle, sim.SynergyStyle})
-		if err != nil {
-			return points, err
-		}
-		p := Figure13Point{MACLatencyCPU: lat, Average: make(map[sim.Scheme]float64)}
-		for _, sch := range res.Schemes {
-			p.Average[sch] = res.Average(sch)
-		}
-		points = append(points, p)
-	}
-	return points, nil
+	res, err := NewPlan(cfg, Figure{Schemes: macOrgs, Latencies: latencies}).Run(ctx)
+	return res[0].Points, err
+}
+
+// RunSchemes runs the slowdown sweep of any scheme set against Baseline,
+// averaging seeds. A failing simulation or a cancelled context returns
+// its error with every workload whose cells all finished.
+func RunSchemes(ctx context.Context, cfg PerfConfig, schemes []sim.Scheme) (PerfResult, error) {
+	res, err := NewPlan(cfg, Figure{Schemes: schemes}).Run(ctx)
+	return res[0].Perf, err
 }
 
 // ---------------------------------------------------------------------------
@@ -339,11 +306,6 @@ func Figure13(ctx context.Context, cfg PerfConfig, latencies []int64) ([]Figure1
 // QuickReliability is the benchmark-harness Monte-Carlo budget.
 func QuickReliability() faultsim.Config {
 	return faultsim.Config{Modules: 300_000, Years: 7, FITScale: 1, Seed: 42}
-}
-
-// FullReliability approaches the paper's population.
-func FullReliability() faultsim.Config {
-	return faultsim.Config{Modules: 10_000_000, Years: 7, FITScale: 1, Seed: 42}
 }
 
 // Figure6 runs the 7-year lifetime study for SECDED and both SafeGuard
@@ -501,10 +463,4 @@ func MeasureEscapes(policy ecc.CorrectionPolicy, macWidth, trials int, seed uint
 		}
 	}
 	return m, nil
-}
-
-// RunSchemes exposes the sweep for arbitrary scheme sets (extension
-// experiments such as the full-SGX comparison).
-func RunSchemes(ctx context.Context, cfg PerfConfig, schemes []sim.Scheme) (PerfResult, error) {
-	return runPerf(ctx, cfg, schemes)
 }

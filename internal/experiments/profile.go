@@ -6,15 +6,12 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
 
 	"safeguard/internal/attrib"
 	"safeguard/internal/sim"
 	"safeguard/internal/telemetry"
-	"safeguard/internal/workload"
 )
 
 // ProfileConfig bounds a profiling run.
@@ -39,18 +36,13 @@ type ProfileConfig struct {
 	// Mitigation / RHThreshold attach an in-controller mitigation.
 	Mitigation  string
 	RHThreshold int
-	// Parallelism bounds worker goroutines (0 = GOMAXPROCS). The result
-	// does not depend on it.
+	// Parallelism, Telemetry (which also receives the attrib.cpi.*
+	// stacks), Trace and WarmPool configure the runs as in PerfConfig;
+	// the stacks do not depend on them.
 	Parallelism int
-	// Telemetry, when set, additionally aggregates every run's counters
-	// (including the published attrib.cpi.* stacks).
-	Telemetry *telemetry.Registry
-	// Trace, when set, receives every run's controller command events.
-	Trace *telemetry.Tracer
-	// WarmPool, when set, warm-starts every run from a pooled
-	// post-warm-up snapshot (see PerfConfig.WarmPool); stacks are
-	// bit-identical either way. Ignored when Trace is set.
-	WarmPool WarmStore
+	Telemetry   *telemetry.Registry
+	Trace       *telemetry.Tracer
+	WarmPool    WarmStore
 }
 
 func (c *ProfileConfig) defaults() {
@@ -61,15 +53,9 @@ func (c *ProfileConfig) defaults() {
 		c.Seeds = []uint64{1}
 	}
 	q := QuickPerf()
-	if c.InstrPerCore == 0 {
-		c.InstrPerCore = q.InstrPerCore
-	}
-	if c.WarmupInstr == 0 {
-		c.WarmupInstr = q.WarmupInstr
-	}
-	if c.MACLatencyCPU == 0 {
-		c.MACLatencyCPU = q.MACLatencyCPU
-	}
+	c.InstrPerCore = cmp.Or(c.InstrPerCore, q.InstrPerCore)
+	c.WarmupInstr = cmp.Or(c.WarmupInstr, q.WarmupInstr)
+	c.MACLatencyCPU = cmp.Or(c.MACLatencyCPU, q.MACLatencyCPU)
 }
 
 // ProfileResult is one workload's CPI stacks across schemes, seeds summed.
@@ -95,99 +81,26 @@ func (r ProfileResult) Report() *attrib.Report {
 // Parallelism — the contract sgprof's determinism acceptance checks.
 func Profile(ctx context.Context, cfg ProfileConfig) (ProfileResult, error) {
 	cfg.defaults()
-	p, err := workload.ByName(cfg.Workload)
-	if err != nil {
-		return ProfileResult{}, err
-	}
-	type job struct {
-		scheme sim.Scheme
-		seed   uint64
-	}
-	jobs := make([]job, 0, len(cfg.Schemes)*len(cfg.Seeds))
+	cells := make([]Cell, 0, len(cfg.Schemes)*len(cfg.Seeds))
 	for _, sch := range cfg.Schemes {
 		for _, seed := range cfg.Seeds {
-			jobs = append(jobs, job{scheme: sch, seed: seed})
+			cells = append(cells, Cell{Workload: cfg.Workload, Scheme: sch, Seed: seed,
+				InstrPerCore: cfg.InstrPerCore, WarmupInstr: cfg.WarmupInstr, MACLatencyCPU: cfg.MACLatencyCPU,
+				ECCDecodeCPU: cfg.ECCDecodeCPU, Mitigation: cfg.Mitigation, RHThreshold: cfg.RHThreshold, Attrib: true,
+			})
 		}
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
 	res := ProfileResult{
 		Workload: cfg.Workload,
 		Schemes:  cfg.Schemes,
 		Stacks:   make(map[sim.Scheme]attrib.CPIStack, len(cfg.Schemes)),
 	}
-	var (
-		mu    sync.Mutex
-		wg    sync.WaitGroup
-		first error
-	)
-	jobCh := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				mu.Lock()
-				bail := first != nil
-				mu.Unlock()
-				if bail || ctx.Err() != nil {
-					continue
-				}
-				sc := sim.DefaultConfig()
-				sc.Workload = p
-				sc.Scheme = j.scheme
-				sc.Seed = j.seed
-				sc.InstrPerCore = cfg.InstrPerCore
-				sc.WarmupInstr = cfg.WarmupInstr
-				sc.MACLatencyCPU = cfg.MACLatencyCPU
-				sc.ECCDecodeCPU = cfg.ECCDecodeCPU
-				sc.Mitigation = cfg.Mitigation
-				sc.RHThreshold = cfg.RHThreshold
-				sc.Attrib = true
-				if cfg.Telemetry != nil {
-					sc.Telemetry = telemetry.NewRegistry()
-				}
-				sc.Trace = cfg.Trace
-				var out sim.Result
-				var err error
-				if cfg.WarmPool != nil && cfg.Trace == nil {
-					out, err = runWarmPooled(ctx, sc, cfg.WarmPool)
-				} else {
-					out, err = sim.NewSystem(sc).RunContext(ctx)
-				}
-				if err != nil {
-					mu.Lock()
-					if first == nil {
-						first = fmt.Errorf("experiments: profile %s/%v/seed%d: %w",
-							cfg.Workload, j.scheme, j.seed, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				mu.Lock()
-				st := res.Stacks[j.scheme]
-				st.Merge(*out.CPI)
-				res.Stacks[j.scheme] = st
-				if cfg.Telemetry != nil {
-					cfg.Telemetry.Merge(sc.Telemetry)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	if first != nil {
-		return res, first
-	}
-	return res, ctx.Err()
+	pool := PerfConfig{Parallelism: cfg.Parallelism, Telemetry: cfg.Telemetry, Trace: cfg.Trace, WarmPool: cfg.WarmPool}
+	err := RunCells(ctx, pool, cells, func(i int, out sim.Result, reg *telemetry.Registry) {
+		st := res.Stacks[cells[i].Scheme]
+		st.Merge(*out.CPI)
+		res.Stacks[cells[i].Scheme] = st
+		cfg.Telemetry.Merge(reg)
+	})
+	return res, err
 }

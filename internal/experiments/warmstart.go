@@ -100,13 +100,17 @@ func MintWarmSnapshot(ctx context.Context, sc sim.Config) ([]byte, error) {
 	return nil, fmt.Errorf("experiments: run finished before the warm capture fired")
 }
 
-// runWarmPooled executes one perf run through the warm-start pool: a
-// pool hit restores the warm snapshot and simulates only the measured
-// phase; a miss runs cold and deposits its warm capture for the next
-// run of the cell. Results are bit-identical either way, so every pool
-// or restore failure falls back to a cold run rather than failing the
-// sweep.
-func runWarmPooled(ctx context.Context, sc sim.Config, pool WarmStore) (sim.Result, error) {
+// WarmRun executes one perf run through the warm-start pool: a pool hit
+// restores the warm snapshot and simulates only the measured phase; a
+// miss runs cold and deposits its warm capture for the next run of the
+// cell. Results are bit-identical either way, so every pool or restore
+// failure falls back to a cold run rather than failing the sweep. With a
+// nil pool, or a tracer set (a shared tracer cannot be restored per run),
+// it is a plain cold run.
+func WarmRun(ctx context.Context, sc sim.Config, pool WarmStore) (sim.Result, error) {
+	if pool == nil || sc.Trace != nil {
+		return sim.NewSystem(sc).RunContext(ctx)
+	}
 	key := WarmKeyFor(sc)
 	if data, ok, err := pool.GetWarm(key); err == nil && ok {
 		sys := sim.NewSystem(sc)
@@ -122,15 +126,6 @@ func runWarmPooled(ctx context.Context, sc sim.Config, pool WarmStore) (sim.Resu
 		return nil
 	}
 	return sim.NewSystem(mint).RunContext(ctx)
-}
-
-// WarmRun is runWarmPooled for callers outside the sweep pool (the CLI's
-// -warm-pool path); with a nil store it is a plain cold run.
-func WarmRun(ctx context.Context, sc sim.Config, pool WarmStore) (sim.Result, error) {
-	if pool == nil {
-		return sim.NewSystem(sc).RunContext(ctx)
-	}
-	return runWarmPooled(ctx, sc, pool)
 }
 
 // MemWarmStore is an in-memory WarmStore for tests and single-process

@@ -10,13 +10,14 @@
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -121,6 +122,7 @@ type Config struct {
 // mutex; JobView snapshots are handed out instead of the struct.
 type Job struct {
 	id       string
+	seq      int // submission order; List sorts by it
 	hash     string
 	req      *resultcache.Request
 	state    State
@@ -303,6 +305,7 @@ func (m *Manager) Submit(req *resultcache.Request) (JobView, error) {
 	m.seq++
 	j := &Job{
 		id:       fmt.Sprintf("j-%06d", m.seq),
+		seq:      m.seq,
 		hash:     hash,
 		req:      req,
 		state:    StateQueued,
@@ -374,28 +377,27 @@ func (m *Manager) Bus() *telemetry.Bus { return m.cfg.Bus }
 func (m *Manager) List(offset, limit int) ([]JobView, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
+	jobs := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		jobs = append(jobs, j)
 	}
-	sort.Strings(ids)
-	total := len(ids)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
+	slices.SortFunc(jobs, bySeq)
+	total := len(jobs)
+	offset = min(max(offset, 0), total)
 	end := total
-	if limit > 0 && offset+limit < end {
-		end = offset + limit
+	if limit > 0 {
+		end = min(offset+limit, total)
 	}
 	views := make([]JobView, 0, end-offset)
-	for _, id := range ids[offset:end] {
-		views = append(views, m.jobs[id].view())
+	for _, j := range jobs[offset:end] {
+		views = append(views, j.view())
 	}
 	return views, total
 }
+
+// bySeq orders jobs by submission. Ids do not sort that way as strings
+// from the millionth job on: "j-1000000" < "j-999999".
+func bySeq(a, b *Job) int { return cmp.Compare(a.seq, b.seq) }
 
 // Job returns a snapshot of the identified job.
 func (m *Manager) Job(id string) (JobView, bool) {
@@ -542,7 +544,7 @@ pulled:
 			running = append(running, j)
 		}
 	}
-	sort.Slice(running, func(i, k int) bool { return running[i].id < running[k].id })
+	slices.SortFunc(running, bySeq)
 	entries := make([]PendingJob, 0, len(queued)+len(running))
 	for _, j := range queued {
 		entries = append(entries, PendingJob{Request: j.req})

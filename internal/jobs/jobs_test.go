@@ -630,3 +630,34 @@ func TestJobLookup(t *testing.T) {
 		t.Fatalf("Job(%s) = (%+v, %v)", v.ID, got, ok)
 	}
 }
+
+// TestListKeepsSubmissionOrderPastAMillion: List orders by submission,
+// not by id string — "j-1000000" must follow "j-999999".
+func TestListKeepsSubmissionOrderPastAMillion(t *testing.T) {
+	t.Parallel()
+	m := NewManager(Config{Runner: okRunner(nil)})
+	defer m.Close()
+	m.mu.Lock()
+	m.seq = 999_998
+	m.mu.Unlock()
+	var want []string
+	for i := uint64(1); i <= 3; i++ {
+		v, err := m.Submit(reqN(t, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, v.ID)
+		waitState(t, m, v.ID, StateDone)
+	}
+	views, total := m.List(0, 0)
+	var got []string
+	for _, v := range views {
+		got = append(got, v.ID)
+	}
+	if total != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("List = %v (total %d), want submission order %v", got, total, want)
+	}
+	if want[1] != "j-1000000" {
+		t.Fatalf("second id %q, want j-1000000", want[1])
+	}
+}

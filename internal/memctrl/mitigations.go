@@ -10,6 +10,7 @@
 package memctrl
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -75,6 +76,13 @@ func NewMitigationPlugin(name string, threshold int, seed uint64) (Plugin, error
 		return nil, fmt.Errorf("unknown mitigation %q (valid: %s)",
 			name, strings.Join(MitigationNames(), ", "))
 	}
+}
+
+// CheckMitigation validates a mitigation name as a sweep will size it:
+// a zero RH-Threshold means Table I's 4800.
+func CheckMitigation(name string, threshold int) error {
+	_, err := NewMitigationPlugin(name, cmp.Or(threshold, 4800), 1)
+	return err
 }
 
 // ---------------------------------------------------------------------------

@@ -235,14 +235,8 @@ func (p *PerfRequest) normalize() error {
 	if p.RHThreshold < 0 {
 		return fmt.Errorf("resultcache: negative RH threshold")
 	}
-	if p.Mitigation != "" && p.Mitigation != "none" {
-		th := p.RHThreshold
-		if th == 0 {
-			th = 4800 // Table I
-		}
-		if _, err := memctrl.NewMitigationPlugin(p.Mitigation, th, 1); err != nil {
-			return fmt.Errorf("resultcache: %w", err)
-		}
+	if err := memctrl.CheckMitigation(p.Mitigation, p.RHThreshold); err != nil {
+		return fmt.Errorf("resultcache: %w", err)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@
 package resultcache
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -59,33 +60,15 @@ func (w *WarmRequest) normalize() error {
 		return fmt.Errorf("resultcache: warm-up budget exceeds the per-request cap of %d", perfBudgetCap)
 	}
 	def := sim.DefaultConfig()
-	if w.Cores == 0 {
-		w.Cores = def.Cores
-	}
-	if w.L1Bytes == 0 {
-		w.L1Bytes = def.L1Bytes
-	}
-	if w.L1Ways == 0 {
-		w.L1Ways = def.L1Ways
-	}
-	if w.L1Latency == 0 {
-		w.L1Latency = def.L1Latency
-	}
-	if w.LLCBytes == 0 {
-		w.LLCBytes = def.LLCBytes
-	}
-	if w.LLCWays == 0 {
-		w.LLCWays = def.LLCWays
-	}
-	if w.LLCLatency == 0 {
-		w.LLCLatency = def.LLCLatency
-	}
-	if w.PrefetchDegree == 0 {
-		w.PrefetchDegree = def.PrefetchDegree
-	}
-	if w.MACLatencyCPU == 0 {
-		w.MACLatencyCPU = def.MACLatencyCPU
-	}
+	w.Cores = cmp.Or(w.Cores, def.Cores)
+	w.L1Bytes = cmp.Or(w.L1Bytes, def.L1Bytes)
+	w.L1Ways = cmp.Or(w.L1Ways, def.L1Ways)
+	w.L1Latency = cmp.Or(w.L1Latency, def.L1Latency)
+	w.LLCBytes = cmp.Or(w.LLCBytes, def.LLCBytes)
+	w.LLCWays = cmp.Or(w.LLCWays, def.LLCWays)
+	w.LLCLatency = cmp.Or(w.LLCLatency, def.LLCLatency)
+	w.PrefetchDegree = cmp.Or(w.PrefetchDegree, def.PrefetchDegree)
+	w.MACLatencyCPU = cmp.Or(w.MACLatencyCPU, def.MACLatencyCPU)
 	if w.Cores < 0 || w.L1Bytes < 0 || w.L1Ways < 0 || w.L1Latency < 0 ||
 		w.LLCBytes < 0 || w.LLCWays < 0 || w.LLCLatency < 0 ||
 		w.PrefetchDegree < 0 || w.MACLatencyCPU < 0 || w.ECCDecodeCPU < 0 {
@@ -94,14 +77,8 @@ func (w *WarmRequest) normalize() error {
 	if w.RHThreshold < 0 {
 		return fmt.Errorf("resultcache: negative RH threshold")
 	}
-	if w.Mitigation != "" && w.Mitigation != "none" {
-		th := w.RHThreshold
-		if th == 0 {
-			th = 4800 // Table I
-		}
-		if _, err := memctrl.NewMitigationPlugin(w.Mitigation, th, 1); err != nil {
-			return fmt.Errorf("resultcache: %w", err)
-		}
+	if err := memctrl.CheckMitigation(w.Mitigation, w.RHThreshold); err != nil {
+		return fmt.Errorf("resultcache: %w", err)
 	}
 	return nil
 }

@@ -127,6 +127,8 @@ func TestMakeFuzzTargetsPackageQualified(t *testing.T) {
 		"./internal/resultcache:FuzzReadArtifact",
 		"./internal/jobs:FuzzLoadPendingJobs",
 		"./internal/fleet:FuzzDecodeComplete",
+		"./internal/attrib:FuzzReadReport",
+		"./cmd/sgtop:FuzzHandleSSELine",
 	} {
 		if !strings.Contains(mf, want) {
 			t.Errorf("FUZZ_TARGETS missing %q", want)
@@ -171,7 +173,7 @@ func TestMakeCIComposition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ci dry-run failed:\n%s", out)
 	}
-	for _, leg := range []string{"lint", "-race", "-shuffle=on", "cover", "fuzz-smoke", "examples-smoke", "sgprof-smoke", "snapshot-smoke", "obs-smoke", "synth-smoke", "perfbench-test"} {
+	for _, leg := range []string{"lint", "-race", "-shuffle=on", "cover", "fuzz-smoke", "examples-smoke", "sgprof-smoke", "snapshot-smoke", "figures-smoke", "obs-smoke", "synth-smoke", "perfbench-test"} {
 		if !strings.Contains(out, leg) {
 			t.Errorf("make ci lost its %q leg:\n%s", leg, out)
 		}
@@ -202,6 +204,25 @@ func TestMakePerfbenchTestComposition(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("perfbench-test recipe missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// figures-smoke must keep its four runs of the real sgperf binary — one
+// and four workers, cold and resumed through a -snapshot pool — and the
+// byte comparison against the one-worker run.
+func TestMakeFiguresSmokeComposition(t *testing.T) {
+	t.Parallel()
+	out, err := runMake(t, "figures-smoke", "GO=echo", "--just-print")
+	if err != nil {
+		t.Fatalf("figures-smoke dry-run failed:\n%s", out)
+	}
+	for _, want := range []string{
+		"./cmd/sgperf", "-all -workloads mcf,leela -instr 4000 -warmup 2000 -seeds 2 -attrib -stats text",
+		"GOMAXPROCS=1", "GOMAXPROCS=4", "-snapshot", "-resume", "cmp",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("figures-smoke recipe missing %q:\n%s", want, out)
 		}
 	}
 }
