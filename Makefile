@@ -272,12 +272,13 @@ fleet-chaos:
 # loop the skip-ahead proofs compare against), and ecc holds the codecs,
 # fault injectors and DIMM device layout that every reliability and
 # Table IV number decodes through, and faultmodel/faultsim draw and judge
-# every module lifetime behind the Figure 6/10 reliability ratios, so
-# regressions there must not land untested.
+# every module lifetime behind the Figure 6/10 reliability ratios, and
+# pool is the one worker pool the perf cells, the Monte-Carlo blocks and
+# the synthesis cells run on, so regressions there must not land untested.
 COVER_GATE_PKGS := ./internal/telemetry ./internal/response ./internal/attrib \
 	./internal/jobs ./internal/resultcache ./internal/fleet ./internal/snapshot \
 	./internal/payload ./internal/synth ./internal/rowhammer ./internal/sim \
-	./internal/ecc ./internal/faultmodel ./internal/faultsim
+	./internal/ecc ./internal/faultmodel ./internal/faultsim ./internal/pool
 COVER_GATE_MIN  := 85
 cover:
 	@$(GO) test -cover $(COVER_GATE_PKGS) | awk -v min=$(COVER_GATE_MIN) ' \

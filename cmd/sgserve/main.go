@@ -106,19 +106,14 @@ func main() {
 	})
 	defer mgr.Close()
 
-	// Resume jobs a previous drain persisted; entries journaled mid-run
-	// carry a checkpoint ref, recorded first so their runner warm-starts.
+	// Resume jobs a previous drain persisted, queued and in-flight alike;
+	// each re-runs from the start.
 	if *pendingPath != "" {
 		pending, err := jobs.LoadPendingJobs(*pendingPath, reg)
 		if err != nil {
 			log.Printf("sgserve: pending journal: %v", err)
 		}
 		for _, pj := range pending {
-			if pj.Checkpoint != "" {
-				if hash, err := pj.Request.Hash(); err == nil {
-					mgr.RecordCheckpoint(hash, pj.Checkpoint)
-				}
-			}
 			if _, err := mgr.Submit(pj.Request); err != nil {
 				log.Printf("sgserve: resubmit pending job: %v", err)
 			}

@@ -6,19 +6,16 @@
 package experiments
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"safeguard/internal/bits"
 	"safeguard/internal/ecc"
 	fm "safeguard/internal/faultmodel"
 	"safeguard/internal/faultsim"
 	"safeguard/internal/mac"
+	"safeguard/internal/pool"
 	"safeguard/internal/sim"
 	"safeguard/internal/telemetry"
 	"safeguard/internal/workload"
@@ -181,73 +178,41 @@ func (c Cell) Config() (sim.Config, error) {
 func RunCells(ctx context.Context, cfg PerfConfig, cells []Cell, done func(i int, res sim.Result, reg *telemetry.Registry)) error {
 	pv := telemetry.ProgressFromContext(ctx)
 	pv.Set(telemetry.Progress{Phase: "warmup", Done: 0, Total: int64(len(cells))})
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		stop atomic.Bool // set by the first failing cell
-		outs = make(chan cellRun)
-	)
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(cells) || stop.Load() || ctx.Err() != nil {
-					return
-				}
-				r := cells[i].run(ctx, cfg)
-				if r.err != nil {
-					stop.Store(true)
-				}
-				r.i = i
-				outs <- r
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(outs)
-	}()
-	var first error
 	n := 0
-	for r := range outs {
-		if r.err != nil {
-			c := cells[r.i]
-			first = cmp.Or(first, fmt.Errorf("experiments: %s/%v/seed%d: %w", c.Workload, c.Scheme, c.Seed, r.err))
-			continue
-		}
+	return pool.Run(ctx, len(cells), cfg.Parallelism, func(i int) (cellRun, error) {
+		return cells[i].run(ctx, cfg)
+	}, func(i int, r cellRun) bool {
 		n++
 		pv.Set(telemetry.Progress{Phase: "measure", Done: int64(n), Total: int64(len(cells))})
-		done(r.i, r.res, r.reg)
-	}
-	return cmp.Or(first, ctx.Err())
+		done(i, r.res, r.reg)
+		return false
+	})
 }
 
-// cellRun is one cell's outcome inside RunCells.
+// cellRun is one finished cell inside RunCells.
 type cellRun struct {
-	i   int
 	res sim.Result
 	reg *telemetry.Registry
-	err error
 }
 
 // run simulates the cell with cfg's telemetry, trace and warm pool.
-func (c Cell) run(ctx context.Context, cfg PerfConfig) cellRun {
+func (c Cell) run(ctx context.Context, cfg PerfConfig) (cellRun, error) {
+	fail := func(err error) (cellRun, error) {
+		return cellRun{}, fmt.Errorf("experiments: %s/%v/seed%d: %w", c.Workload, c.Scheme, c.Seed, err)
+	}
 	sc, err := c.Config()
 	if err != nil {
-		return cellRun{err: err}
+		return fail(err)
 	}
 	if cfg.Telemetry != nil {
 		sc.Telemetry = telemetry.NewRegistry()
 	}
 	sc.Trace = cfg.Trace
 	res, err := WarmRun(ctx, sc, cfg.WarmPool)
-	return cellRun{res: res, reg: sc.Telemetry, err: err}
+	if err != nil {
+		return fail(err)
+	}
+	return cellRun{res: res, reg: sc.Telemetry}, nil
 }
 
 // Figure7 reproduces the SafeGuard-vs-SECDED performance figure: the

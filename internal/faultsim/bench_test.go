@@ -26,15 +26,16 @@ func BenchmarkRunBlock(b *testing.B) {
 			cfg := Config{Modules: 1 << 30, Years: 7, FITScale: c.fitScale, Seed: 1}
 			years := int(cfg.Years + 0.5)
 			sampler := fm.NewSampler(c.eval.Geometry(), fm.SridharanFITRates, cfg.FITScale, cfg.Years*fm.HoursPerYear)
-			p := &partial{failedByYear: make([]int, years), byMode: make(map[fm.Mode]int)}
-			sc := newScratch()
+			modules := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := runBlock(c.eval, sampler, cfg, i, years, p, sc); err != nil {
+				t, err := runBlock(c.eval, sampler, cfg, i, years)
+				if err != nil {
 					b.Fatal(err)
 				}
+				modules += t.modules
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(p.modules), "ns/module")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(modules), "ns/module")
 		})
 	}
 }

@@ -2,12 +2,12 @@ package faultsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	fm "safeguard/internal/faultmodel"
+	"safeguard/internal/pool"
 	"safeguard/internal/telemetry"
 )
 
@@ -41,9 +41,9 @@ type Config struct {
 	// faults cannot pair with it. Zero disables retirement.
 	RetireIntervalHours float64
 	// Telemetry, when set, receives the study's aggregate counters and the
-	// faults-per-module histogram. Workers accumulate into private
-	// registries merged after the pool drains, so the published numbers
-	// are bit-identical across worker counts.
+	// faults-per-module histogram, published once from the summed block
+	// tallies, so the published numbers are bit-identical across worker
+	// counts.
 	Telemetry *telemetry.Registry
 	// CIHalfWidth, when positive, switches to adaptive sampling: 4096-
 	// module blocks are simulated until the Wilson 95% confidence
@@ -112,32 +112,62 @@ const MaxYears = 100
 // bit-identical across worker counts.
 const blockSize = 4096
 
-// partial accumulates one worker's per-block tallies. All fields are
-// order-independent sums, so merging partials in worker order yields the
-// same Result regardless of which worker processed which block.
-type partial struct {
+// tally is one block's outcome, or the sum of several. Every field is a
+// plain integer count and summing is order-independent, so a study's
+// total does not depend on which worker ran which block.
+type tally struct {
+	// failedByYear[y] counts modules failed within year y+1 (cumulative).
 	failedByYear []int
-	single, pair int
-	byMode       map[fm.Mode]int
-	modules      int
-	// reg is the worker-private telemetry registry (nil when telemetry is
-	// off); merged into Config.Telemetry after the pool drains.
-	reg *telemetry.Registry
-}
-
-// scratch is one worker's reusable per-block state, so the module loop
-// allocates nothing once the buffers have grown.
-type scratch struct {
-	// faults is the buffer SampleLifetime appends each module's faults to.
-	faults []fm.Fault
-	// perModule[n] counts the block's modules with n faults.
-	perModule []uint64
-	// failMode[m] counts the block's single-fault failures of Mode m.
+	// failMode[m] counts single-fault failures of Mode m.
 	failMode []int
+	// perModule[n] counts modules with n faults.
+	perModule             []uint64
+	modules, faulty, pair int
 }
 
-func newScratch() *scratch {
-	return &scratch{failMode: make([]int, len(fm.Modes))}
+func newTally(years int) *tally {
+	return &tally{failedByYear: make([]int, years), failMode: make([]int, len(fm.Modes))}
+}
+
+func (t *tally) add(o *tally) {
+	for y, n := range o.failedByYear {
+		t.failedByYear[y] += n
+	}
+	for m, n := range o.failMode {
+		t.failMode[m] += n
+	}
+	for len(t.perModule) < len(o.perModule) {
+		t.perModule = append(t.perModule, 0)
+	}
+	for n, c := range o.perModule {
+		t.perModule[n] += c
+	}
+	t.modules += o.modules
+	t.faulty += o.faulty
+	t.pair += o.pair
+}
+
+// eolFailed returns the end-of-life failure count.
+func (t *tally) eolFailed() int { return t.failedByYear[len(t.failedByYear)-1] }
+
+// publish adds the tally to reg: the study's aggregate counters and the
+// faults-per-module histogram.
+func (t *tally) publish(reg *telemetry.Registry) {
+	single := 0
+	for m, n := range t.failMode {
+		if n > 0 {
+			single += n
+			reg.Counter("faultsim.fail_mode." + fm.Mode(m).String()).Add(uint64(n))
+		}
+	}
+	reg.Counter("faultsim.modules").Add(uint64(t.modules))
+	reg.Counter("faultsim.faulty_modules").Add(uint64(t.faulty))
+	reg.Counter("faultsim.failures.single").Add(uint64(single))
+	reg.Counter("faultsim.failures.pair").Add(uint64(t.pair))
+	perModule := reg.Histogram("faultsim.faults_per_module", []int64{0, 1, 2, 4, 8})
+	for n, c := range t.perModule {
+		perModule.ObserveN(int64(n), c)
+	}
 }
 
 // Run executes the Monte-Carlo study for one scheme.
@@ -150,6 +180,15 @@ func Run(eval Evaluator, cfg Config) (Result, error) {
 // modules already simulated (Result.Modules reflects the partial
 // population) together with the context's error. A panic in a worker is
 // recovered into a returned error instead of crashing the process.
+//
+// Blocks run on the shared pool and are folded on the calling goroutine.
+// A fixed-population study sums every block that finishes. An adaptive
+// study (Config.CIHalfWidth > 0) sums blocks in index order and stops at
+// the first prefix whose Wilson half-width meets the target; blocks a
+// wide pool finished past that point are discarded, so the stopping
+// point and the sums depend on the seed alone. Config.Modules caps the
+// adaptive population: if the target is never met, every block is summed
+// like a fixed-size run.
 func RunContext(ctx context.Context, eval Evaluator, cfg Config) (Result, error) {
 	if cfg.Modules <= 0 {
 		return Result{}, fmt.Errorf("faultsim: Modules must be positive (got %d)", cfg.Modules)
@@ -171,101 +210,109 @@ func RunContext(ctx context.Context, eval Evaluator, cfg Config) (Result, error)
 	if rates == nil {
 		rates = fm.SridharanFITRates
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	years := int(cfg.Years + 0.5)
 	// One sampling plan serves the whole study; the Sampler is immutable,
 	// so every worker shares it.
 	sampler := fm.NewSampler(eval.Geometry(), rates, cfg.FITScale, cfg.Years*fm.HoursPerYear)
-
-	if cfg.CIHalfWidth > 0 {
-		return runAdaptive(ctx, eval, sampler, cfg, workers, years)
-	}
-
 	blocks := (cfg.Modules + blockSize - 1) / blockSize
-	if workers > blocks {
-		workers = blocks
-	}
+	adaptive := cfg.CIHalfWidth > 0
 
-	// One progress write per finished block: coarse enough that the
-	// Monte-Carlo inner loop never sees it.
+	// One progress write per summed block: coarse enough that the
+	// Monte-Carlo inner loop never sees it. An adaptive study has no
+	// fixed extent, so it reports Total == 0 ("unknown").
+	total := int64(blocks)
+	if adaptive {
+		total = 0
+	}
 	pv := telemetry.ProgressFromContext(ctx)
-	pv.Set(telemetry.Progress{Phase: "measure", Done: 0, Total: int64(blocks)})
-	var blocksDone atomic.Int64
-
-	partials := make([]partial, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	next.Store(-1)
-	var bail atomic.Bool
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := newScratch()
-			p := &partials[w]
-			p.failedByYear = make([]int, years)
-			p.byMode = make(map[fm.Mode]int)
-			if cfg.Telemetry != nil {
-				p.reg = telemetry.NewRegistry()
-			}
-			for {
-				if bail.Load() || ctx.Err() != nil {
-					return
-				}
-				b := int(next.Add(1))
-				if b >= blocks {
-					return
-				}
-				if err := runBlock(eval, sampler, cfg, b, years, p, sc); err != nil {
-					errs[w] = err
-					bail.Store(true)
-					return
-				}
-				pv.Set(telemetry.Progress{Phase: "measure", Done: blocksDone.Add(1), Total: int64(blocks)})
-			}
-		}(w)
+	pv.Set(telemetry.Progress{Phase: "measure", Done: 0, Total: total})
+	sum := newTally(years)
+	summed := 0
+	fold := func(t *tally) {
+		sum.add(t)
+		summed++
+		pv.Set(telemetry.Progress{Phase: "measure", Done: int64(summed), Total: total})
 	}
-	wg.Wait()
+	// waiting[b] holds adaptive block b until every block before it is
+	// summed; met marks the stopping prefix found.
+	var waiting []*tally
+	if adaptive {
+		waiting = make([]*tally, blocks)
+	}
+	met := false
+	err := pool.Run(ctx, blocks, cfg.Workers, func(b int) (*tally, error) {
+		return runBlock(eval, sampler, cfg, b, years)
+	}, func(b int, t *tally) bool {
+		if !adaptive {
+			fold(t)
+			return false
+		}
+		if met {
+			return true
+		}
+		waiting[b] = t
+		for summed < blocks && waiting[summed] != nil {
+			fold(waiting[summed])
+			if wilsonHalfWidth(sum.eolFailed(), sum.modules) <= cfg.CIHalfWidth {
+				met = true
+				return true
+			}
+		}
+		return false
+	})
+	if err != nil && !errors.Is(err, ctx.Err()) {
+		return Result{}, err
+	}
+	if summed > 0 {
+		sum.publish(cfg.Telemetry)
+	}
 
 	res := Result{
 		Scheme:         eval.Name(),
 		Config:         cfg,
-		FailedByYear:   make([]int, years),
+		Modules:        sum.modules,
+		FailedByYear:   sum.failedByYear,
+		Failed:         sum.eolFailed(),
+		PairFailures:   sum.pair,
 		FailuresByMode: make(map[fm.Mode]int),
 	}
-	for _, p := range partials {
-		for y := range p.failedByYear {
-			res.FailedByYear[y] += p.failedByYear[y]
-		}
-		res.SingleFaultFailures += p.single
-		res.PairFailures += p.pair
-		res.Modules += p.modules
-		for m, c := range p.byMode {
-			res.FailuresByMode[m] += c
-		}
-		cfg.Telemetry.Merge(p.reg)
-	}
-	if years > 0 {
-		res.Failed = res.FailedByYear[years-1]
-	}
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
+	for m, n := range sum.failMode {
+		if n > 0 {
+			res.SingleFaultFailures += n
+			res.FailuresByMode[fm.Mode(m)] = n
 		}
 	}
-	return res, ctx.Err()
+	if adaptive {
+		res.Adaptive = true
+		res.BlocksRun = summed
+		res.CIHalfWidth = wilsonHalfWidth(res.Failed, res.Modules)
+	}
+	return res, err
 }
 
-// runBlock simulates one block of modules into p, recovering any panic (a
-// buggy Evaluator, a bad fault model) into a returned error so the worker
-// pool cannot deadlock or crash the process. It tallies the block in sc
-// and publishes to p.reg once, at the end of the block.
-func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int, p *partial, sc *scratch) (err error) {
+// wilsonZ is the 95% two-sided normal quantile used for the adaptive
+// stopping interval.
+const wilsonZ = 1.96
+
+// wilsonHalfWidth returns the half-width of the Wilson score interval
+// for `failed` successes in `n` trials. Unlike the normal approximation
+// it stays honest at p=0 (zero observed failures still yield a positive
+// width ~z²/2n), so adaptive runs cannot stop on an empty sample out of
+// false confidence.
+func wilsonHalfWidth(failed, n int) float64 {
+	if n <= 0 {
+		return 1
+	}
+	p := float64(failed) / float64(n)
+	nn := float64(n)
+	z2 := wilsonZ * wilsonZ
+	return wilsonZ * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn)) / (1 + z2/nn)
+}
+
+// runBlock simulates block b of the population into a fresh tally,
+// recovering any panic (a buggy Evaluator, a bad fault model) into a
+// returned error so the pool cannot deadlock or crash the process.
+func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int) (t *tally, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("faultsim: panic in Monte-Carlo block %d: %v", b, r)
@@ -273,66 +320,35 @@ func runBlock(eval Evaluator, sampler *fm.Sampler, cfg Config, b, years int, p *
 	}()
 	rng := fm.NewPCG(cfg.Seed, uint64(b)+1)
 	lo := b * blockSize
-	hi := lo + blockSize
-	if hi > cfg.Modules {
-		hi = cfg.Modules
-	}
-	clear(sc.perModule)
-	clear(sc.failMode)
-	faulty, pair := 0, 0
+	hi := min(lo+blockSize, cfg.Modules)
+	t = newTally(years)
+	t.modules = hi - lo
+	var faults []fm.Fault
 	for m := lo; m < hi; m++ {
-		faults := sampler.SampleLifetime(rng, sc.faults[:0])
-		sc.faults = faults
-		for len(faults) >= len(sc.perModule) {
-			sc.perModule = append(sc.perModule, 0)
+		faults = sampler.SampleLifetime(rng, faults[:0])
+		for len(faults) >= len(t.perModule) {
+			t.perModule = append(t.perModule, 0)
 		}
-		sc.perModule[len(faults)]++
+		t.perModule[len(faults)]++
 		if len(faults) == 0 {
 			continue
 		}
-		faulty++
+		t.faulty++
 		failH, single, mode := moduleFailure(eval, faults, cfg.ScrubIntervalHours, cfg.RetireIntervalHours)
 		if failH < 0 {
 			continue
 		}
-		year := int(failH / fm.HoursPerYear)
-		if year >= years {
-			year = years - 1
-		}
+		year := min(int(failH/fm.HoursPerYear), years-1)
 		for y := year; y < years; y++ {
-			p.failedByYear[y]++
+			t.failedByYear[y]++
 		}
 		if single {
-			sc.failMode[mode]++
+			t.failMode[mode]++
 		} else {
-			pair++
+			t.pair++
 		}
 	}
-
-	single := 0
-	for m, n := range sc.failMode {
-		if n == 0 {
-			continue
-		}
-		single += n
-		mode := fm.Mode(m)
-		p.byMode[mode] += n
-		if p.reg != nil { // skip building the name when telemetry is off
-			p.reg.Counter("faultsim.fail_mode." + mode.String()).Add(uint64(n))
-		}
-	}
-	p.modules += hi - lo
-	p.single += single
-	p.pair += pair
-	p.reg.Counter("faultsim.modules").Add(uint64(hi - lo))
-	p.reg.Counter("faultsim.faulty_modules").Add(uint64(faulty))
-	p.reg.Counter("faultsim.failures.single").Add(uint64(single))
-	p.reg.Counter("faultsim.failures.pair").Add(uint64(pair))
-	perModule := p.reg.Histogram("faultsim.faults_per_module", []int64{0, 1, 2, 4, 8})
-	for n, c := range sc.perModule {
-		perModule.ObserveN(int64(n), c)
-	}
-	return nil
+	return t, nil
 }
 
 // moduleFailure scans a module's time-ordered fault list and returns the

@@ -9,7 +9,7 @@ import (
 )
 
 // The Monte-Carlo telemetry must be as worker-independent as the results:
-// per-worker private registries merge with commutative ops, so the final
+// the study publishes its summed block tallies once, so the final
 // snapshot — rendered to JSON — is byte-for-byte identical at any
 // parallelism.
 func TestTelemetrySnapshotBitIdenticalAcrossWorkerCounts(t *testing.T) {
@@ -38,8 +38,8 @@ func TestTelemetrySnapshotBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// A run with no registry attached must not pay for telemetry: the nil
-// fast path skips the per-worker registries entirely.
+// A run with no registry attached publishes nothing and returns the same
+// result as one with a registry.
 func TestTelemetryNilRegistryIsNoop(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Modules: 5_000, Years: 7, Seed: 3, Workers: 2, FITScale: 10}

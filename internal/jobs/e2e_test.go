@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -358,10 +359,11 @@ func TestE2EDrainPersistAndResume(t *testing.T) {
 	}
 }
 
-// Checkpoint refs ride the drain journal: a job interrupted mid-run
-// resumes on the next service instance with the last ref its runner
-// recorded — the warm-start handoff cmd/sgserve performs on boot.
-func TestE2ECheckpointResumeAfterDrain(t *testing.T) {
+// A job still running when the drain deadline hits is journaled by its
+// request alone and re-runs from the start on the next service instance,
+// beside the queued job the drain persisted — the resubmission
+// cmd/sgserve performs on boot.
+func TestE2EInFlightRerunAfterDrain(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	pending := filepath.Join(dir, "pending.json")
@@ -371,21 +373,15 @@ func TestE2ECheckpointResumeAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First instance: the runner checkpoints mid-run, then blocks until
-	// shutdown kills it — a worker dying between checkpoints.
-	var m1 *Manager
-	recorded := make(chan struct{})
+	// First instance: the runner blocks until shutdown kills it — a
+	// process dying mid-run.
+	started := make(chan struct{})
 	runner1 := func(ctx context.Context, req *resultcache.Request) (json.RawMessage, error) {
-		h, err := req.Hash()
-		if err != nil {
-			return nil, err
-		}
-		m1.RecordCheckpoint(h, "warm:"+h[:8])
-		close(recorded)
+		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	m1 = NewManager(Config{
+	m1 := NewManager(Config{
 		Workers: 1, QueueDepth: 8, MaxAttempts: 1, PendingPath: pending,
 		Cache: cache, Telemetry: reg, Runner: runner1,
 	})
@@ -394,7 +390,7 @@ func TestE2ECheckpointResumeAfterDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-recorded
+	<-started
 	v2, err := m1.Submit(reqN(t, 32))
 	if err != nil {
 		t.Fatal(err)
@@ -410,8 +406,13 @@ func TestE2ECheckpointResumeAfterDrain(t *testing.T) {
 	}
 	m1.Close()
 
-	// The journal pairs the interrupted request with its latest ref and
-	// leaves the never-started one bare.
+	raw, err := os.ReadFile(pending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "checkpoint") {
+		t.Fatalf("journal carries a checkpoint key:\n%s", raw)
+	}
 	pjs, err := LoadPendingJobs(pending, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -419,48 +420,24 @@ func TestE2ECheckpointResumeAfterDrain(t *testing.T) {
 	if len(pjs) != 2 {
 		t.Fatalf("journal holds %d entries, want 2", len(pjs))
 	}
-	refs := map[string]string{}
-	for _, pj := range pjs {
-		h, err := pj.Request.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[h] = pj.Checkpoint
-	}
-	wantRef := "warm:" + v1.Hash[:8]
-	if refs[v1.Hash] != wantRef {
-		t.Fatalf("interrupted job ref = %q, want %q", refs[v1.Hash], wantRef)
-	}
-	if refs[v2.Hash] != "" {
-		t.Fatalf("queued job carries ref %q, want none", refs[v2.Hash])
-	}
 
-	// Second instance: the runner warm-starts from the recorded ref the
-	// way a pool-backed runner would.
-	var m2 *Manager
+	// Second instance: both journaled requests resubmit under their
+	// original hashes and run from the start.
 	var mu sync.Mutex
-	seen := map[string]string{}
+	ran := map[string]int{}
 	runner2 := func(ctx context.Context, req *resultcache.Request) (json.RawMessage, error) {
 		h, err := req.Hash()
 		if err != nil {
 			return nil, err
 		}
-		ref, _ := m2.Checkpoint(h)
 		mu.Lock()
-		seen[h] = ref
+		ran[h]++
 		mu.Unlock()
 		return json.RawMessage(`{}`), nil
 	}
-	m2 = NewManager(Config{Workers: 2, Cache: cache, Telemetry: reg, Runner: runner2})
+	m2 := NewManager(Config{Workers: 2, Cache: cache, Telemetry: reg, Runner: runner2})
 	defer m2.Close()
 	for _, pj := range pjs {
-		if pj.Checkpoint != "" {
-			h, err := pj.Request.Hash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m2.RecordCheckpoint(h, pj.Checkpoint)
-		}
 		v, err := m2.Submit(pj.Request)
 		if err != nil {
 			t.Fatal(err)
@@ -469,14 +446,7 @@ func TestE2ECheckpointResumeAfterDrain(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if seen[v1.Hash] != wantRef {
-		t.Fatalf("resumed runner saw ref %q, want %q", seen[v1.Hash], wantRef)
-	}
-	if seen[v2.Hash] != "" {
-		t.Fatalf("fresh job saw ref %q, want none", seen[v2.Hash])
-	}
-	// Completion clears the ref: a later identical submit starts cold.
-	if ref, ok := m2.Checkpoint(v1.Hash); ok {
-		t.Fatalf("checkpoint ref %q survives completion", ref)
+	if ran[v1.Hash] != 1 || ran[v2.Hash] != 1 || len(ran) != 2 {
+		t.Fatalf("restart ran %v, want the in-flight %s and the queued %s once each", ran, v1.Hash, v2.Hash)
 	}
 }

@@ -162,14 +162,13 @@ type Manager struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu          sync.Mutex
-	jobs        map[string]*Job   // id -> queued, running, or retained terminal job
-	inflight    map[string]*Job   // hash -> job still queued/running (singleflight)
-	checkpoints map[string]string // hash -> latest checkpoint ref
-	draining    bool
-	seq         int
-	queue       chan *Job
-	wg          sync.WaitGroup // one count per accepted, non-terminal job
+	mu       sync.Mutex
+	jobs     map[string]*Job // id -> queued, running, or retained terminal job
+	inflight map[string]*Job // hash -> job still queued/running (singleflight)
+	draining bool
+	seq      int
+	queue    chan *Job
+	wg       sync.WaitGroup // one count per accepted, non-terminal job
 
 	// finished holds the terminal jobs still in the table, oldest-finished
 	// first; past retainTerminal the oldest leaves the table. The tallies
@@ -223,7 +222,6 @@ func NewManager(cfg Config) *Manager {
 		cancel:           cancel,
 		jobs:             make(map[string]*Job),
 		inflight:         make(map[string]*Job),
-		checkpoints:      make(map[string]string),
 		queue:            make(chan *Job, cfg.QueueDepth),
 		submitted:        reg.Counter("jobs.submitted"),
 		dedup:            reg.Counter("jobs.dedup"),
@@ -428,31 +426,6 @@ func (m *Manager) WaitJob(ctx context.Context, id string) (JobView, error) {
 	}
 }
 
-// RecordCheckpoint notes the latest checkpoint reference for a job hash
-// — typically the content hash or store path of an sgsnap/1 snapshot
-// deposited mid-run. A drain that cannot wait journals the ref alongside
-// the request, so a restart resumes the job from its last checkpoint
-// instead of recomputing the prefix. Refs for unknown hashes are kept
-// too: a restart records journaled refs before resubmitting.
-func (m *Manager) RecordCheckpoint(hash, ref string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ref == "" {
-		delete(m.checkpoints, hash)
-		return
-	}
-	m.checkpoints[hash] = ref
-}
-
-// Checkpoint returns the last recorded checkpoint ref for a hash.
-// Runners consult it to warm-start a resumed job.
-func (m *Manager) Checkpoint(hash string) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ref, ok := m.checkpoints[hash]
-	return ref, ok
-}
-
 // Draining reports whether the manager has stopped accepting jobs.
 func (m *Manager) Draining() bool {
 	m.mu.Lock()
@@ -474,20 +447,18 @@ type DrainReport struct {
 	// Running counts jobs still executing when the drain returned early
 	// (always zero when the context did not expire).
 	Running int
-	// InFlightJournaled counts running jobs whose request (and latest
-	// checkpoint ref, when one was recorded) made it into the journal on
-	// an expired drain. They keep running; the journal entry only matters
+	// InFlightJournaled counts running jobs whose request made it into
+	// the journal on an expired drain. They keep running; the journal entry only matters
 	// if the process dies before they finish.
 	InFlightJournaled int
 }
 
 // Drain stops accepting new jobs and waits for every accepted job to
 // finish. If ctx expires first, jobs still waiting in the queue are
-// persisted to PendingPath (state "persisted"), and jobs still running
-// are journaled alongside them with their latest RecordCheckpoint refs —
-// so a restart resumes queued work from scratch and mid-run work from
-// its last checkpoint. Running jobs keep their context and are left to
-// finish. Either way no accepted job is silently dropped.
+// persisted to PendingPath (state "persisted"), and the requests of jobs
+// still running are journaled alongside them, so a restart re-runs both
+// from the start (runs are deterministic, so the artifacts are the same
+// bytes). Running jobs keep their context and are left to finish. Either way no accepted job is silently dropped.
 func (m *Manager) Drain(ctx context.Context) (DrainReport, error) {
 	m.mu.Lock()
 	m.draining = true
@@ -521,9 +492,9 @@ func (m *Manager) Drain(ctx context.Context) (DrainReport, error) {
 
 // persistPending journals the drain's unfinished work: every not-yet-
 // started job is pulled off the queue and persisted, and every still-
-// running job is journaled with its latest checkpoint ref (it keeps
-// running — the entry is the recovery plan if the process dies before it
-// finishes; if it does finish, resubmission hits the result cache). Jobs
+// running job's request is journaled (it keeps running — the entry is the
+// recovery plan if the process dies before it finishes; if it does
+// finish, resubmission hits the result cache). Jobs
 // a worker grabs concurrently simply run to completion instead — either
 // way nothing is dropped. Returns the in-flight entry count.
 func (m *Manager) persistPending() (int, error) {
@@ -550,7 +521,7 @@ pulled:
 		entries = append(entries, PendingJob{Request: j.req})
 	}
 	for _, j := range running {
-		entries = append(entries, PendingJob{Request: j.req, Checkpoint: m.checkpoints[j.hash]})
+		entries = append(entries, PendingJob{Request: j.req})
 	}
 	m.mu.Unlock()
 	if len(entries) == 0 {
@@ -585,18 +556,16 @@ pulled:
 	return len(running), nil
 }
 
-// PendingJob pairs a journaled request with the last checkpoint ref its
-// run recorded (empty = start from scratch).
+// PendingJob is one drain journal entry: a request to resubmit, run from
+// the start.
 type PendingJob struct {
 	Request *resultcache.Request `json:"request"`
-	// Checkpoint is an opaque ref recorded via RecordCheckpoint —
-	// typically the content hash of an sgsnap/1 snapshot artifact.
-	Checkpoint string `json:"checkpoint,omitempty"`
 }
 
-// pendingFile is the drain journal format. Requests is the legacy
-// checkpoint-less entry list; journals written by this build use Jobs.
-// Both are honored on load, so pre-checkpoint journals resume cleanly.
+// pendingFile is the drain journal format. Requests is the legacy bare
+// entry list; journals written by this build use Jobs. Both are honored
+// on load, and a "checkpoint" key that older builds wrote beside a
+// request is ignored.
 type pendingFile struct {
 	Schema   string                 `json:"schema"`
 	Requests []*resultcache.Request `json:"requests,omitempty"`
@@ -606,8 +575,8 @@ type pendingFile struct {
 // pendingSchema versions the drain journal.
 const pendingSchema = "sgserve-pending/1"
 
-// SavePendingJobs writes journal entries — requests plus any checkpoint
-// refs — to a drain journal (atomic rename).
+// SavePendingJobs writes journal entries to a drain journal (atomic
+// rename).
 func SavePendingJobs(path string, entries []PendingJob) error {
 	raw, err := json.MarshalIndent(pendingFile{Schema: pendingSchema, Jobs: entries}, "", "  ")
 	if err != nil {
@@ -622,9 +591,6 @@ func SavePendingJobs(path string, entries []PendingJob) error {
 
 // LoadPendingJobs reads a drain journal and removes it, returning the
 // normalized entries to resubmit. A missing file is an empty resume.
-// Entries journaled mid-run carry the checkpoint ref last recorded for
-// them, which the resubmitting caller feeds back through
-// Manager.RecordCheckpoint before Submit.
 //
 // Corruption must never block a boot — a crashed drain or a tampered
 // disk costs at worst the journaled jobs, not the service. A journal
@@ -773,8 +739,6 @@ func (m *Manager) finish(j *Job, st State, msg string) {
 	case StateDone:
 		m.nCompleted++
 		m.completed.Inc()
-		// The result exists; its checkpoint is dead weight.
-		delete(m.checkpoints, j.hash)
 		evType = telemetry.EventComplete
 	case StateFailed:
 		m.nFailed++

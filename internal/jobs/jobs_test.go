@@ -454,6 +454,26 @@ func TestLoadPendingTruncatedJournalDegrades(t *testing.T) {
 	}
 }
 
+// A journal from a build that recorded checkpoint refs still loads: the
+// stale "checkpoint" key is ignored and both requests resume.
+func TestLoadPendingIgnoresStaleCheckpointKey(t *testing.T) {
+	t.Parallel()
+	first, second := reqN(t, 1), reqN(t, 2)
+	reqs, err := LoadPendingJobs(journalFile(t, string(staleCheckpointJournal(t, first, second))), nil)
+	if err != nil || len(reqs) != 2 {
+		t.Fatalf("stale-checkpoint journal = (%d entries, %v), want 2", len(reqs), err)
+	}
+	for i, want := range []*resultcache.Request{first, second} {
+		wh, err := want.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := reqs[i].Request.Hash(); err != nil || h != wh {
+			t.Fatalf("entry %d hashes to %s (%v), want %s", i, h, err, wh)
+		}
+	}
+}
+
 // A tampered journal — valid JSON, but a request that no longer
 // validates — skips the bad entry with a counter and resumes the rest.
 func TestLoadPendingTamperedRequestSkipped(t *testing.T) {

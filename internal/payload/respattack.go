@@ -220,6 +220,7 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, p *Program
 	if maxCycles == 0 {
 		maxCycles = p.Acts()*4000 + 200_000
 	}
+	r := &runner{mc: mc, ctx: ctx}
 
 	// Flip propagation: new disturbance flips land in the memsys image of
 	// un-retired victim rows. A retired row's data lives in the spare
@@ -279,10 +280,7 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, p *Program
 			if !mc.EnqueueRead(la, func(at int64) { fin = at }) {
 				continue
 			}
-			for fin < 0 && mc.Now() < maxCycles {
-				mc.Tick()
-			}
-			if fin >= 0 {
+			if r.advance(func() bool { return fin >= 0 }, maxCycles) {
 				if tail {
 					res.BenignAvgLatencyTail += float64(fin - start)
 				} else {
@@ -301,14 +299,8 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, p *Program
 		attackRows[s.Row] = true
 		done := false
 		mc.EnqueueRead(mapper.Encode(dram.Coord{Row: s.Row}), func(int64) { done = true })
-		for !done && mc.Now() < maxCycles {
-			if mc.Now()&1023 == 0 && ctx.Err() != nil {
-				return false
-			}
-			mc.Tick()
-		}
-		if !done {
-			res.Stalled = true
+		if !r.advance(func() bool { return done }, maxCycles) {
+			res.Stalled = r.ctxErr == nil
 			return false
 		}
 		res.AttackerAccesses++

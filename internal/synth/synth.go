@@ -30,11 +30,10 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"safeguard/internal/memctrl"
 	"safeguard/internal/payload"
+	"safeguard/internal/pool"
 	"safeguard/internal/rowhammer"
 	"safeguard/internal/telemetry"
 )
@@ -303,34 +302,23 @@ func Search(ctx context.Context, cfg Config) (*Matrix, error) {
 	pv := telemetry.ProgressFromContext(ctx)
 	pv.Set(telemetry.Progress{Phase: "synth", Done: 0, Total: int64(len(keys))})
 
-	cells := make([]Cell, len(keys))
-	errs := make([]error, len(keys))
+	// Config.Parallelism's 0 means every cell at once, not GOMAXPROCS.
 	workers := cfg.Parallelism
-	if workers <= 0 || workers > len(keys) {
+	if workers <= 0 {
 		workers = len(keys)
 	}
-	var done atomic.Int64
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				cells[i], errs[i] = searchCell(ctx, cfg, keys[i].mit, keys[i].th, uint64(i))
-				pv.Set(telemetry.Progress{Phase: "synth", Done: done.Add(1), Total: int64(len(keys))})
-			}
-		}()
-	}
-	for i := range keys {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	cells := make([]Cell, len(keys))
+	finished := 0
+	err := pool.Run(ctx, len(keys), workers, func(i int) (Cell, error) {
+		return searchCell(ctx, cfg, keys[i].mit, keys[i].th, uint64(i))
+	}, func(i int, c Cell) bool {
+		cells[i] = c
+		finished++
+		pv.Set(telemetry.Progress{Phase: "synth", Done: int64(finished), Total: int64(len(keys))})
+		return false
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Matrix{
 		Schema:      MatrixSchema,

@@ -6,9 +6,7 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -198,31 +196,4 @@ func (t *Tracer) Events() []Event {
 		out = append(out, t.buf...)
 	}
 	return out
-}
-
-// WriteTo renders the buffered events oldest-first, one per line, plus a
-// trailing "# dropped N" comment when the ring evicted events. The output
-// contains no wall-clock content, so identical runs produce identical
-// files.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	if t == nil {
-		return 0, nil
-	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	for _, e := range t.Events() {
-		m, err := fmt.Fprintln(bw, e.String())
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	if d := t.Dropped(); d > 0 {
-		m, err := fmt.Fprintf(bw, "# dropped %d\n", d)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
 }

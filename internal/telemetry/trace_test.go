@@ -35,11 +35,11 @@ func TestTracerOrderAndStrings(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
+	if err := WriteTraceFile(&sb, nil, tr); err != nil {
 		t.Fatal(err)
 	}
-	if sb.String() != strings.Join(want, "\n")+"\n" {
-		t.Fatalf("WriteTo mismatch:\n%s", sb.String())
+	if body := strings.TrimPrefix(sb.String(), "# safeguard-trace v1\n"); body != strings.Join(want, "\n")+"\n" {
+		t.Fatalf("WriteTraceFile mismatch:\n%s", sb.String())
 	}
 }
 
@@ -62,11 +62,11 @@ func TestTracerRingEviction(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
+	if err := WriteTraceFile(&sb, nil, tr); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(sb.String(), "# dropped 6\n") {
-		t.Fatalf("WriteTo missing dropped marker:\n%s", sb.String())
+		t.Fatalf("WriteTraceFile missing dropped marker:\n%s", sb.String())
 	}
 }
 
@@ -76,10 +76,6 @@ func TestTracerNilAndDefaults(t *testing.T) {
 	tr.Emit(Event{Kind: EvACT})
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must be inert")
-	}
-	var sb strings.Builder
-	if n, err := tr.WriteTo(&sb); n != 0 || err != nil || sb.Len() != 0 {
-		t.Fatal("nil tracer WriteTo must be empty")
 	}
 	if got := NewTracer(0); cap(got.buf) != DefaultTraceCapacity {
 		t.Fatalf("default capacity = %d, want %d", cap(got.buf), DefaultTraceCapacity)

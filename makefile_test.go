@@ -182,7 +182,7 @@ func TestMakeCIComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth", "./internal/rowhammer", "./internal/sim", "./internal/ecc", "./internal/faultmodel", "./internal/faultsim"} {
+	for _, pkg := range []string{"./internal/jobs", "./internal/resultcache", "./internal/fleet", "./internal/snapshot", "./internal/payload", "./internal/synth", "./internal/rowhammer", "./internal/sim", "./internal/ecc", "./internal/faultmodel", "./internal/faultsim", "./internal/pool"} {
 		if !strings.Contains(string(raw), pkg) {
 			t.Errorf("coverage gate dropped %s", pkg)
 		}
