@@ -107,7 +107,7 @@ fmt:
 FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECDEDDecode \
 	./internal/ecc:FuzzChipkillDecode ./internal/ecc:FuzzSafeGuardChipkillDecode \
 	./internal/ecc:FuzzSGXStyleMACDecode ./internal/ecc:FuzzSynergyStyleMACDecode \
-	./internal/memctrl:FuzzEngineEquivalence \
+	./internal/memctrl:FuzzEngineEquivalence ./internal/memctrl:FuzzScheduleMatchesScanReference \
 	./internal/snapshot:FuzzSnapshotRoundTrip ./internal/snapshot:FuzzSnapshotReader \
 	./internal/payload:FuzzPayloadParse ./internal/synth:FuzzParseMatrix \
 	./internal/telemetry:FuzzParseEvent ./internal/telemetry:FuzzReadTraceFile \

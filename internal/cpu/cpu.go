@@ -53,16 +53,17 @@ type robEntry struct {
 	// seq is the entry's load token (0 until a load is issued); Deliver
 	// routes completions back by it.
 	seq        uint64
-	done       bool
 	completeAt int64
-	// dep is the ring slot of the producer load a pointer-chase waits on
-	// (noDep otherwise).
-	dep  int32
-	addr uint64
-	load bool
+	addr       uint64
 	// probe reports the stall cause of an in-flight load (nil when
 	// attribution is off or the port cannot attribute).
 	probe attrib.Prober
+	// dep is the ring slot of the producer load a pointer-chase waits on
+	// (noDep otherwise). The small fields close the entry so it packs
+	// into 48 bytes.
+	dep  int32
+	done bool
+	load bool
 }
 
 // noDep marks a robEntry that waits on no producer.
@@ -296,6 +297,10 @@ var (
 	skipDRAMProbe attrib.Probe = attrib.ConstProbe(attrib.CompDRAM).ProbeStall
 )
 
+// Full reports whether the reorder buffer is full, SkipState's first
+// condition; cheap enough to ask after every cycle.
+func (c *Core) Full() bool { return c.n == len(c.rob) }
+
 // SkipState reports whether the core is sure to do nothing but charge
 // attribution until wakeAt: the ROB is full, so retirement is blocked on
 // the head, dispatch (including stalled-store retries, which mutate
@@ -303,9 +308,9 @@ var (
 // Until wakeAt — the earliest cycle retirement or a dependent-load start
 // can resume on the core's own state — every Cycle(u) call reduces to
 // charging probe(u). Completions arriving from the memory system can
-// wake the core earlier; the caller must bound any skip by the memory
-// controller's own next event. probe is nil when attribution is off
-// (the skipped cycles then need no replay at all).
+// wake the core earlier: the caller must call Cycle again after any
+// Deliver to the core. probe is nil when attribution is off (the
+// skipped cycles then need no replay at all).
 func (c *Core) SkipState() (ok bool, wakeAt int64, probe attrib.Probe) {
 	if c.n < len(c.rob) {
 		return false, 0, nil

@@ -492,13 +492,14 @@ func (c *Coordinator) complete(id string, body []byte) error {
 	}
 	if verr != nil {
 		// Reject and requeue: the worker returned bytes that cannot be
-		// the deterministic result of this request.
+		// the deterministic result of this request. Count before
+		// resolving, so whoever sees the job finish sees it counted.
 		c.terminalizeLocked(l)
-		c.finishLocked(d, nil, jobs.Transient(fmt.Errorf("fleet: worker %q returned a corrupt result for lease %s: %w", l.worker, id, verr)))
+		c.completeRej.Inc()
 		c.requeues.Inc()
+		c.finishLocked(d, nil, jobs.Transient(fmt.Errorf("fleet: worker %q returned a corrupt result for lease %s: %w", l.worker, id, verr)))
 		c.mu.Unlock()
 		c.deliverExpired()
-		c.completeRej.Inc()
 		return fmt.Errorf("%w: %v", ErrBadArtifact, verr)
 	}
 	c.terminalizeLocked(l)
@@ -512,11 +513,11 @@ func (c *Coordinator) complete(id string, body []byte) error {
 	if env.Telemetry != nil {
 		c.cfg.Telemetry.MergeSnapshot(*env.Telemetry)
 	}
+	c.completeOK.Inc() // counted before the job resolves, as above
 	c.finishLocked(d, art.Result, nil)
 	delete(c.ckpts, d.hash) // the job is done; its checkpoints are dead weight
 	c.mu.Unlock()
 	c.deliverExpired()
-	c.completeOK.Inc()
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,6 +313,78 @@ func TestCorruptArtifactRejectedAndRequeued(t *testing.T) {
 		t.Fatalf("complete on rejected lease = %v, want ErrLeaseGone", err)
 	}
 	wantCounter(t, reg, "fleet.completions.zombie", 1)
+}
+
+// TestCompletionCountedWhenJobFinishes reads the completion counters the
+// moment a job's waiter returns. complete is held right after it
+// resolves the job: a second lease, B, expires during complete's own
+// sweep, and the ExpireHook that complete then delivers blocks until the
+// test has read the counters. A verified or a rejected completion must
+// already be counted by then.
+func TestCompletionCountedWhenJobFinishes(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name    string
+		corrupt bool
+		counter string
+	}{
+		{"ok", false, "fleet.completions.ok"},
+		{"rejected", true, "fleet.completions.rejected"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var (
+				clock   *fakeClock
+				armed   atomic.Bool
+				nows    atomic.Int32
+				leaseB  atomic.Value
+				held    = make(chan struct{})
+				release = make(chan struct{})
+			)
+			c, clk, reg := newTestCoordinator(t, func(cfg *Config) {
+				inner := cfg.Now
+				cfg.Now = func() time.Time {
+					// complete reads the clock twice, before and after
+					// verifying; B's lease runs out in between.
+					if armed.Load() && nows.Add(1) == 2 {
+						clock.Advance(50 * time.Millisecond)
+					}
+					return inner()
+				}
+				cfg.ExpireHook = func(id string) {
+					if id == leaseB.Load() {
+						close(held)
+						<-release
+					}
+				}
+			})
+			clock = clk
+			reqA, reqB := testReq(t, 21), testReq(t, 22)
+			a, chA := leaseOne(t, c, "w1", reqA)
+			b, chB := leaseOne(t, c, "w1", reqB)
+			leaseB.Store(b.LeaseID)
+			// A outlives B: renewed at 60ms, it runs to 160ms; B ends at 100ms.
+			clock.Advance(60 * time.Millisecond)
+			if _, ok := c.renew(a.LeaseID, "w1", nil); !ok {
+				t.Fatal("renew of lease A failed")
+			}
+			art := goodArtifact(t, reqA)
+			if tc.corrupt {
+				art[len(art)/2] ^= 0x42
+			}
+			body := envelope(t, art)
+			armed.Store(true)
+			go func() { _ = c.complete(a.LeaseID, body) }()
+			awaitOutcome(t, chA)
+			<-held // complete is past resolving job A
+			got := reg.Counter(tc.counter).Value()
+			close(release)
+			if got != 1 {
+				t.Fatalf("%s = %d when job A finished, want 1", tc.counter, got)
+			}
+			awaitOutcome(t, chB)
+		})
+	}
 }
 
 func TestHashMismatchArtifactRejected(t *testing.T) {

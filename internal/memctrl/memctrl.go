@@ -11,6 +11,8 @@
 package memctrl
 
 import (
+	"slices"
+
 	"safeguard/internal/attrib"
 	"safeguard/internal/dram"
 )
@@ -38,7 +40,10 @@ type request struct {
 	// bank is coord's bank state, set when the request joins a queue
 	// (after any remap) and cleared by release. c.banks is allocated once
 	// and retirement remaps only rows, so the pointer never goes stale.
-	bank      *bankState
+	bank *bankState
+	// seq stamps the request's arrival: queue order is seq order, which
+	// is how the per-bank scheduler walk recovers the queue's age order.
+	seq       uint64
 	enqueued  int64
 	write     bool
 	actIssued bool
@@ -52,17 +57,31 @@ type request struct {
 }
 
 type bankState struct {
-	openRow    int
-	actReadyAt int64
-	rdReadyAt  int64
-	wrReadyAt  int64
-	preReadyAt int64
+	// col and act are lower bounds on the bank's bankBounds per queue
+	// direction, exact when last computed. Every change that can lower
+	// a bound recomputes them (touch); changes that only raise one leave
+	// them low until the scheduler's walk recomputes them.
+	col, act [2]int64
+	openRow  int
 	// queuedHits counts the requests in the read ([0]) and write ([1])
 	// queue that target openRow: FR-FCFS defers a precharge while the
 	// active queue's count is nonzero. Maintained on every enqueue,
 	// removal, and open-row change; derived state, so checkpoints
 	// rebuild it instead of carrying it.
 	queuedHits [2]int32
+	// rank and idx locate the bank in Controller.banks.
+	rank, idx int
+
+	actReadyAt int64
+	rdReadyAt  int64
+	wrReadyAt  int64
+	preReadyAt int64
+	// queued holds the bank's requests in the read ([0]) and write ([1])
+	// queue, oldest first, and busyPos the bank's slot in
+	// Controller.busy while its list is non-empty. Derived state, rebuilt
+	// on restore like queuedHits (and like col/act).
+	queued  [2][]*request
+	busyPos [2]int
 }
 
 // dir indexes bankState.queuedHits by queue direction.
@@ -74,10 +93,12 @@ func dir(write bool) int {
 }
 
 // closeRow precharges the bank's open row (if any): no queued request
-// targets a closed row.
+// targets a closed row. The cached bounds drop to 0, a lower bound of
+// anything, until the caller's touch recomputes them.
 func (b *bankState) closeRow() {
 	b.openRow = -1
 	b.queuedHits = [2]int32{}
+	b.col, b.act = [2]int64{}, [2]int64{}
 }
 
 // countQueued adjusts queuedHits for request r joining (delta +1) or
@@ -96,21 +117,95 @@ func (c *Controller) enqueue(r *request) {
 	} else {
 		c.readQ = append(c.readQ, r)
 	}
-	c.countQueued(r, 1)
+	c.link(r)
 }
 
-// setOpenRow opens coord's row on its bank and counts the queued
-// requests that target it — the only queue scan left, paid once per
-// activation.
+// link stamps a request that just joined the tail of its queue and
+// appends it to its bank's list, marking the bank busy in its direction.
+func (c *Controller) link(r *request) {
+	c.seq++
+	r.seq = c.seq
+	b, d := r.bank, dir(r.write)
+	if len(b.queued[d]) == 0 {
+		b.busyPos[d] = len(c.busy[d])
+		c.busy[d] = append(c.busy[d], b)
+	}
+	b.queued[d] = append(b.queued[d], r)
+	c.countQueued(r, 1)
+	c.touch(b)
+}
+
+// unlink removes a request leaving its queue from its bank's list; a
+// bank whose list empties leaves the busy set.
+func (c *Controller) unlink(r *request) {
+	c.countQueued(r, -1)
+	b, d := r.bank, dir(r.write)
+	q := b.queued[d]
+	for i, x := range q {
+		if x == r {
+			q = append(q[:i], q[i+1:]...)
+			break
+		}
+	}
+	b.queued[d] = q
+	if len(q) > 0 {
+		return
+	}
+	busy := c.busy[d]
+	last := busy[len(busy)-1]
+	busy[b.busyPos[d]] = last
+	last.busyPos[d] = b.busyPos[d]
+	c.busy[d] = busy[:len(busy)-1]
+}
+
+// setOpenRow opens coord's row on its bank and counts the bank's queued
+// requests that target it.
 func (c *Controller) setOpenRow(bank *bankState, coord dram.Coord) {
 	bank.openRow = coord.Row
-	bank.queuedHits = [2]int32{}
-	for q, queue := range [2][]*request{c.readQ, c.writeQ} {
-		for _, r := range queue {
-			if r.bank == bank && r.coord.Row == coord.Row {
-				bank.queuedHits[q]++
+	for d, q := range bank.queued {
+		var n int32
+		for _, r := range q {
+			if r.coord.Row == coord.Row {
+				n++
 			}
 		}
+		bank.queuedHits[d] = n
+	}
+}
+
+// bankBounds returns the first cycles at which FR-FCFS could act on a
+// busy bank for direction d: col for a row-hit column command (bank
+// timing only; the shared bus is checked on its own) and act for pass 2
+// (activate a closed bank, or precharge a wrong-row bank no queued hit
+// defers). Each is farFuture when that pass has nothing to do there: an
+// open bank with queued hits only issues them, one without only
+// precharges. ActGate decisions and VRR yielding are not part of the
+// bounds: a gate-denied bank still has act <= now, so the walk keeps
+// visiting it and the gate keeps seeing every attempt.
+func (c *Controller) bankBounds(b *bankState, d int) (col, act int64) {
+	switch {
+	case b.openRow == -1:
+		return farFuture, c.activateReadyAt(b, &c.ranks[b.rank])
+	case b.queuedHits[d] > 0:
+		return b.columnReadyAt(d == 1), farFuture
+	}
+	return farFuture, b.preReadyAt
+}
+
+// touch recomputes a bank's cached bounds after anything that may have
+// lowered them, folding them into the per-direction minima colAt and
+// actAt. Changes that only raise a bound (a rank's ACT spacing after
+// another bank's activation) need no touch: the caches are lower
+// bounds, refreshed exactly by the next walk that reaches them.
+func (c *Controller) touch(b *bankState) {
+	for d := range b.queued {
+		if len(b.queued[d]) == 0 {
+			continue
+		}
+		col, act := c.bankBounds(b, d)
+		b.col[d], b.act[d] = col, act
+		c.colAt[d] = min(c.colAt[d], col)
+		c.actAt[d] = min(c.actAt[d], act)
 	}
 }
 
@@ -176,6 +271,16 @@ type Controller struct {
 
 	readQ  []*request
 	writeQ []*request
+	// busy lists the banks with requests queued in the read ([0]) and
+	// write ([1]) direction, in no particular order. colAt and actAt
+	// are per-direction lower bounds on the earliest bankBounds over
+	// those banks: until one of them is reached the FR-FCFS walk has
+	// nothing to do. seq is the last arrival stamp handed out.
+	busy         [2][]*bankState
+	colAt, actAt [2]int64
+	seq          uint64
+	// ready is the pass-2 walk's scratch list of candidate banks.
+	ready []readyBank
 	// free recycles request structs: a read returns here once its
 	// completion has fired, a write once its column command issued.
 	free  []*request
@@ -195,8 +300,10 @@ type Controller struct {
 	lastBusWrite bool
 	draining     bool
 
-	// completions holds issued reads waiting for their data time.
+	// completions holds issued reads waiting for their data time, and
+	// nextDone the earliest of their times (farFuture when none).
 	completions []pendingCompletion
+	nextDone    int64
 
 	// sink receives token-routed read completions (EnqueueReadToken).
 	sink CompletionSink
@@ -226,14 +333,15 @@ type pendingCompletion struct {
 
 // New builds a controller for the geometry and timing.
 func New(g dram.Geometry, tm dram.Timing) *Controller {
-	c := &Controller{tm: tm, geom: g, mapper: dram.NewMapper(g), RemapPenalty: DefaultRemapPenalty}
+	c := &Controller{tm: tm, geom: g, mapper: dram.NewMapper(g), RemapPenalty: DefaultRemapPenalty,
+		colAt: [2]int64{farFuture, farFuture}, actAt: [2]int64{farFuture, farFuture}, nextDone: farFuture}
 	c.lastDenied.at = -1 << 30
 	c.banks = make([][]bankState, g.Ranks)
 	c.ranks = make([]rankState, g.Ranks)
 	for r := range c.banks {
 		c.banks[r] = make([]bankState, g.Banks)
 		for b := range c.banks[r] {
-			c.banks[r][b].openRow = -1
+			c.banks[r][b] = bankState{openRow: -1, rank: r, idx: b}
 		}
 		rk := &c.ranks[r]
 		// Stagger per-rank refresh so the ranks do not blackout together.
@@ -308,18 +416,16 @@ func (c *Controller) enqueueRead(lineAddr, token uint64, hasToken bool, callback
 	r := c.newRequest()
 	r.lineAddr, r.token, r.hasToken, r.callback = lineAddr, token, hasToken, callback
 	r.enqueued = c.now
+	r.coord = c.mapper.Decode(r.lineAddr)
 	// Forward from a queued write to the same line: the controller holds
 	// the freshest data.
-	for _, w := range c.writeQ {
-		if w.lineAddr == r.lineAddr {
-			c.completions = append(c.completions, pendingCompletion{at: c.now + 1, req: r})
-			c.Stats.Reads++
-			c.Stats.SumReadLatencyMC++
-			c.onReadComplete(1)
-			return true
-		}
+	if c.writeQueued(lineAddr, r.coord) {
+		c.addCompletion(c.now+1, r)
+		c.Stats.Reads++
+		c.Stats.SumReadLatencyMC++
+		c.onReadComplete(1)
+		return true
 	}
-	r.coord = c.mapper.Decode(r.lineAddr)
 	r.remapped = c.applyRemap(&r.coord)
 	c.enqueue(r)
 	if d := len(c.readQ); d > c.Stats.MaxReadQueueDepth {
@@ -335,17 +441,28 @@ func (c *Controller) EnqueueWrite(lineAddr uint64) bool {
 	if len(c.writeQ) >= WriteQueueSize {
 		return false
 	}
-	for _, w := range c.writeQ {
-		if w.lineAddr == lineAddr {
-			return true // coalesce repeated writebacks of one line
-		}
+	coord := c.mapper.Decode(lineAddr)
+	if c.writeQueued(lineAddr, coord) {
+		return true // coalesce repeated writebacks of one line
 	}
 	r := c.newRequest()
-	r.lineAddr, r.coord, r.enqueued, r.write = lineAddr, c.mapper.Decode(lineAddr), c.now, true
+	r.lineAddr, r.coord, r.enqueued, r.write = lineAddr, coord, c.now, true
 	r.remapped = c.applyRemap(&r.coord)
 	c.enqueue(r)
 	c.tel.writeDepth.Observe(int64(len(c.writeQ)))
 	return true
+}
+
+// writeQueued reports whether the write queue holds lineAddr, whose
+// decoded coordinates are coord. Only that bank's writes can match (row
+// retirement remaps rows, never banks), so only its list is scanned.
+func (c *Controller) writeQueued(lineAddr uint64, coord dram.Coord) bool {
+	for _, w := range c.banks[coord.Rank][coord.Bank].queued[1] {
+		if w.lineAddr == lineAddr {
+			return true
+		}
+	}
+	return false
 }
 
 // deniedRecently is how many MC cycles an ActGate denial keeps tainting
@@ -431,8 +548,20 @@ func (c *Controller) Tick() {
 	c.schedule(queue)
 }
 
+// addCompletion schedules an issued (or forwarded) read's completion.
+func (c *Controller) addCompletion(at int64, r *request) {
+	c.completions = append(c.completions, pendingCompletion{at: at, req: r})
+	c.nextDone = min(c.nextDone, at)
+}
+
+// fireCompletions fires the matured completions in issue order and
+// recomputes nextDone from the ones kept.
 func (c *Controller) fireCompletions() {
+	if c.now < c.nextDone {
+		return
+	}
 	kept := c.completions[:0]
+	next := farFuture
 	for _, p := range c.completions {
 		if p.at <= c.now {
 			switch {
@@ -444,9 +573,11 @@ func (c *Controller) fireCompletions() {
 			c.release(p.req)
 		} else {
 			kept = append(kept, p)
+			next = min(next, p.at)
 		}
 	}
 	c.completions = kept
+	c.nextDone = next
 }
 
 // refresh blocks a rank for tRFC every tREFI, closing its rows.
@@ -467,6 +598,7 @@ func (c *Controller) refresh() {
 			if bank.actReadyAt < until {
 				bank.actReadyAt = until
 			}
+			c.touch(bank)
 		}
 	}
 }
@@ -485,20 +617,113 @@ func (c *Controller) updateDrainMode() {
 
 // schedule implements FR-FCFS over one queue: first the oldest issuable
 // row-hit column command, else progress the oldest request (ACT or PRE).
+// FR-FCFS walks the queue's busy banks rather than its requests, and
+// only once the bounds say some bank may act; FCFS scans its in-order
+// window.
 func (c *Controller) schedule(queue []*request) {
 	if len(queue) == 0 {
 		return
 	}
-	// Under FCFS only a small in-order window is eligible for scheduling
-	// at all.
+	if c.FCFS {
+		c.scheduleWindow(queue)
+		return
+	}
+	write := queue[0].write
+	d := dir(write)
+	// A queue holds one direction, so the shared data bus admits a column
+	// command for every request in it or for none.
+	colOK := c.colAt[d] <= c.now && c.busAdmitsColumn(write)
+	if !colOK && c.actAt[d] > c.now {
+		return
+	}
+	// Visit every busy bank: tighten the bounds that have come due, pick
+	// the oldest issuable row hit (pass 1), and collect the banks pass 2
+	// may act on.
+	colAt, actAt := farFuture, farFuture
+	var hit *request
+	c.ready = c.ready[:0]
+	for _, b := range c.busy[d] {
+		col, act := b.col[d], b.act[d]
+		if (colOK && col <= c.now) || act <= c.now {
+			col, act = c.bankBounds(b, d)
+			b.col[d], b.act[d] = col, act
+		}
+		colAt, actAt = min(colAt, col), min(actAt, act)
+		if !(colOK && col <= c.now) && act > c.now {
+			continue
+		}
+		if len(c.vrrQ) > 0 && c.hasPendingVRR(b.rank, b.idx) {
+			continue // the bank yields to its pending victim-row refresh
+		}
+		if act <= c.now {
+			c.ready = append(c.ready, readyBank{bank: b})
+			continue
+		}
+		for _, r := range b.queued[d] {
+			if r.coord.Row == b.openRow {
+				if hit == nil || r.seq < hit.seq {
+					hit = r
+				}
+				break
+			}
+		}
+	}
+	c.colAt[d], c.actAt[d] = colAt, actAt
+	if hit != nil {
+		c.issueHit(queue, slices.Index(queue, hit))
+		return
+	}
+	c.progressReady(d)
+}
+
+// readyBank is a pass-2 candidate bank and the position of its next
+// request to try.
+type readyBank struct {
+	bank *bankState
+	next int
+}
+
+// progressReady is pass 2 over the candidate banks: it tries their
+// requests in queue age order, merging the banks' lists by arrival
+// stamp. An open candidate has no queued hits, so its oldest request
+// precharges it; a closed candidate's requests ask the ActGates in turn
+// until one activates. The attempts, denials included, are exactly those
+// of an age-order walk of the whole queue: every request of another bank
+// would have been passed over without touching any state.
+func (c *Controller) progressReady(d int) {
+	for len(c.ready) > 0 {
+		k := 0
+		for j := 1; j < len(c.ready); j++ {
+			if c.ready[j].bank.queued[d][c.ready[j].next].seq < c.ready[k].bank.queued[d][c.ready[k].next].seq {
+				k = j
+			}
+		}
+		rb := &c.ready[k]
+		b := rb.bank
+		r := b.queued[d][rb.next]
+		if b.openRow != -1 {
+			c.precharge(b)
+			return
+		}
+		if c.allowAct(b.rank, b.idx, r.coord.Row) {
+			c.activate(r, b, &c.ranks[b.rank])
+			return
+		}
+		if rb.next++; rb.next == len(b.queued[d]) {
+			c.ready[k] = c.ready[len(c.ready)-1]
+			c.ready = c.ready[:len(c.ready)-1]
+		}
+	}
+}
+
+// scheduleWindow is FCFS: only the in-order window's requests may be
+// scheduled, oldest first — a row-hit column command if one can issue,
+// else an ACT or PRE.
+func (c *Controller) scheduleWindow(queue []*request) {
 	window := queue
-	if c.FCFS && len(window) > fcfsWindow {
+	if len(window) > fcfsWindow {
 		window = window[:fcfsWindow]
 	}
-	// Pass 1: row-hit column commands, oldest first. A queue holds one
-	// direction, so the shared data bus admits a column command for every
-	// request in it or for none: when it admits none, pass 1 cannot issue
-	// and is skipped.
 	write := queue[0].write
 	if c.busAdmitsColumn(write) {
 		for i, r := range window {
@@ -509,25 +734,10 @@ func (c *Controller) schedule(queue []*request) {
 			if len(c.vrrQ) > 0 && c.hasPendingVRR(r.coord.Rank, r.coord.Bank) {
 				continue // the bank yields to its pending victim-row refresh
 			}
-			c.issueColumn(r, bank)
-			c.removeFromQueue(queue, i)
-			// A request that needed its own ACT is a row miss; one that
-			// found the row open is a hit.
-			if r.actIssued {
-				c.Stats.RowMisses++
-				c.tel.rowMisses.Inc()
-			} else {
-				c.Stats.RowHits++
-				c.tel.rowHits.Inc()
-			}
-			if r.write {
-				c.release(r) // reads release once their completion fires
-			}
+			c.issueHit(queue, i)
 			return
 		}
 	}
-	// Pass 2: progress requests in age order — activate a precharged
-	// bank or precharge a wrong-row bank.
 	for _, r := range window {
 		bank := r.bank
 		if len(c.vrrQ) > 0 && c.hasPendingVRR(r.coord.Rank, r.coord.Bank) {
@@ -541,25 +751,50 @@ func (c *Controller) schedule(queue []*request) {
 			}
 			continue
 		}
-		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && !c.hitsDeferPrecharge(window, r, bank) {
-			bank.closeRow()
-			bank.actReadyAt = maxI64(bank.actReadyAt, c.now+int64(c.tm.TRP))
+		if bank.openRow != r.coord.Row && c.now >= bank.preReadyAt && !hitsDeferPrecharge(window, bank) {
+			c.precharge(bank)
 			return
 		}
 	}
 }
 
+// issueHit issues the column command of queue[i], a row hit, and
+// removes it from the queue.
+func (c *Controller) issueHit(queue []*request, i int) {
+	r := queue[i]
+	c.issueColumn(r, r.bank)
+	c.removeFromQueue(queue, i)
+	// A request that needed its own ACT is a row miss; one that found
+	// the row open is a hit.
+	if r.actIssued {
+		c.Stats.RowMisses++
+		c.tel.rowMisses.Inc()
+	} else {
+		c.Stats.RowHits++
+		c.tel.rowHits.Inc()
+	}
+	if r.write {
+		c.release(r) // reads release once their completion fires
+	}
+}
+
+// precharge closes a bank's wrong open row.
+func (c *Controller) precharge(bank *bankState) {
+	bank.closeRow()
+	bank.actReadyAt = maxI64(bank.actReadyAt, c.now+int64(c.tm.TRP))
+	c.touch(bank)
+}
+
 // hitsDeferPrecharge reports whether queued row hits keep bank's open
-// row open against r, a same-queue request for another row. Only the
+// row open against a same-queue request for another row. Only the
 // active queue counts: deferring a precharge to hits in the idle queue
 // could stall the active direction indefinitely. FR-FCFS counts hits
-// anywhere in the queue. FCFS counts only its in-order window: a hit
-// beyond the window cannot issue before the window drains, so deferring
-// to it would block the window until a refresh or VRR closed the row.
-func (c *Controller) hitsDeferPrecharge(window []*request, r *request, bank *bankState) bool {
-	if !c.FCFS {
-		return bank.queuedHits[dir(r.write)] > 0
-	}
+// anywhere in the queue (bankBounds: a bank with queuedHits never
+// precharges). FCFS counts only its in-order window, which this scans:
+// a hit beyond the window cannot issue before the window drains, so
+// deferring to it would block the window until a refresh or VRR closed
+// the row.
+func hitsDeferPrecharge(window []*request, bank *bankState) bool {
 	for _, w := range window {
 		if w.bank == bank && w.coord.Row == bank.openRow {
 			return true
@@ -591,6 +826,7 @@ func (c *Controller) activate(r *request, bank *bankState, rank *rankState) {
 	rank.actWindow[rank.actWindowPos] = c.now
 	rank.actWindowPos = (rank.actWindowPos + 1) & 3
 	r.actIssued = true
+	c.touch(bank)
 	c.dispatch(CmdACT, r.coord.Rank, r.coord.Bank, r.coord.Row)
 }
 
@@ -658,7 +894,7 @@ func (c *Controller) issueColumn(r *request, bank *bankState) {
 	}
 	c.Stats.SumReadLatencyMC += done - r.enqueued
 	c.onReadComplete(done - r.enqueued)
-	c.completions = append(c.completions, pendingCompletion{at: done, req: r})
+	c.addCompletion(done, r)
 	c.dispatch(CmdRD, r.coord.Rank, r.coord.Bank, r.coord.Row)
 }
 
@@ -666,7 +902,8 @@ func (c *Controller) issueColumn(r *request, bank *bankState) {
 // reads only ever live in readQ and writes in writeQ, so the request's kind
 // selects the slice (queue aliases one of them).
 func (c *Controller) removeFromQueue(queue []*request, i int) {
-	c.countQueued(queue[i], -1)
+	c.unlink(queue[i])
+	c.touch(queue[i].bank)
 	if queue[i].write {
 		c.writeQ = append(c.writeQ[:i], c.writeQ[i+1:]...)
 	} else {

@@ -191,8 +191,7 @@ func (c *Controller) issueVRR() bool {
 		if bank.openRow != -1 {
 			// The bank must close its open row first.
 			if c.now >= bank.preReadyAt {
-				bank.closeRow()
-				bank.actReadyAt = maxI64(bank.actReadyAt, c.now+int64(c.tm.TRP))
+				c.precharge(bank)
 				return true
 			}
 			continue

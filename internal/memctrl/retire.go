@@ -83,8 +83,9 @@ func (c *Controller) RetireRow(rank, bank, row int) (int, error) {
 	})
 	// The physical row closes: whatever was open there is gone after the
 	// copy-out to the spare.
-	if bank < len(c.banks[rank]) && c.banks[rank][bank].openRow == row {
-		c.banks[rank][bank].closeRow()
+	if b := &c.banks[rank][bank]; b.openRow == row {
+		b.closeRow()
+		c.touch(b)
 	}
 	return spare, nil
 }

@@ -173,7 +173,8 @@ func (c *Controller) SaveState() (*ControllerState, error) {
 	st.Banks = make([][]BankSnap, len(c.banks))
 	for r := range c.banks {
 		st.Banks[r] = make([]BankSnap, len(c.banks[r]))
-		for b, bk := range c.banks[r] {
+		for b := range c.banks[r] {
+			bk := &c.banks[r][b]
 			st.Banks[r][b] = BankSnap{
 				OpenRow: bk.openRow, ActReadyAt: bk.actReadyAt, RdReadyAt: bk.rdReadyAt,
 				WrReadyAt: bk.wrReadyAt, PreReadyAt: bk.preReadyAt,
@@ -270,24 +271,30 @@ func (c *Controller) RestoreState(st *ControllerState) error {
 		c.writeQ = append(c.writeQ, restoreRequest(rs))
 	}
 	c.completions = c.completions[:0]
+	c.nextDone = farFuture
 	for _, cs := range st.Completions {
-		c.completions = append(c.completions, pendingCompletion{at: cs.At, req: restoreRequest(cs.Req)})
+		c.addCompletion(cs.At, restoreRequest(cs.Req))
 	}
 	for r := range c.banks {
 		for b := range c.banks[r] {
 			s := st.Banks[r][b]
 			c.banks[r][b] = bankState{
 				openRow: s.OpenRow, actReadyAt: s.ActReadyAt, rdReadyAt: s.RdReadyAt,
-				wrReadyAt: s.WrReadyAt, preReadyAt: s.PreReadyAt,
+				wrReadyAt: s.WrReadyAt, preReadyAt: s.PreReadyAt, rank: r, idx: b,
 			}
 		}
 	}
+	// Rebuild the derived scheduling state: bank lists in queue (age)
+	// order, row-hit counts, and bounds that force the next walk.
+	c.busy = [2][]*bankState{}
+	c.seq = 0
 	for _, q := range [2][]*request{c.readQ, c.writeQ} {
 		for _, r := range q {
 			r.bank = &c.banks[r.coord.Rank][r.coord.Bank]
-			c.countQueued(r, 1)
+			c.link(r)
 		}
 	}
+	c.colAt, c.actAt = [2]int64{}, [2]int64{}
 	for r := range c.ranks {
 		s := st.Ranks[r]
 		c.ranks[r] = rankState{

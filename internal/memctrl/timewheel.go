@@ -26,12 +26,7 @@ const farFuture = int64(1) << 62
 // guaranteed no-op tick. The result is always > Now(): when something
 // is schedulable right now the next Tick is the event.
 func (c *Controller) NextEventAt() int64 {
-	next := farFuture
-	for _, p := range c.completions {
-		if p.at < next {
-			next = p.at
-		}
-	}
+	next := c.nextDone
 	for r := range c.ranks {
 		if t := c.ranks[r].nextRefreshAt; t < next {
 			next = t
@@ -64,18 +59,36 @@ func (c *Controller) NextEventAt() int64 {
 
 // queueEventAt folds one queue's earliest command-candidate time into
 // next. Mirrors schedule(): row-hit column issue, activation of a
-// closed bank, or precharge of a wrong-row bank.
+// closed bank, or precharge of a wrong-row bank. FR-FCFS folds its busy
+// banks' bounds; FCFS scans its in-order window.
 func (c *Controller) queueEventAt(queue []*request, next int64) int64 {
 	if len(queue) == 0 {
 		return next
 	}
-	window := queue
-	if c.FCFS && len(window) > fcfsWindow {
-		window = window[:fcfsWindow]
-	}
 	// The queue's one direction fixes the bus's earliest column issue.
 	write := queue[0].write
 	busAt := c.busNeed(write) - c.columnLatency(write)
+	if !c.FCFS {
+		d := dir(write)
+		for _, b := range c.busy[d] {
+			if min(b.act[d], maxI64(b.col[d], busAt)) >= next {
+				continue // the cached lower bounds cannot lower next
+			}
+			if len(c.vrrQ) > 0 && c.hasPendingVRR(b.rank, b.idx) {
+				// The bank yields to its pending VRR; the VRR's own
+				// progress time is already a candidate.
+				continue
+			}
+			col, act := c.bankBounds(b, d)
+			b.col[d], b.act[d] = col, act
+			next = min(next, act, maxI64(col, busAt))
+		}
+		return next
+	}
+	window := queue
+	if len(window) > fcfsWindow {
+		window = window[:fcfsWindow]
+	}
 	for _, r := range window {
 		bank := r.bank
 		if len(c.vrrQ) > 0 && c.hasPendingVRR(r.coord.Rank, r.coord.Bank) {
@@ -93,7 +106,7 @@ func (c *Controller) queueEventAt(queue []*request, next int64) int64 {
 			// Wrong row open: precharge at preReadyAt unless same-queue
 			// row hits keep the row open — then this request only moves
 			// after those hits drain, and their issues are events.
-			if c.hitsDeferPrecharge(window, r, bank) {
+			if hitsDeferPrecharge(window, bank) {
 				continue
 			}
 			t = bank.preReadyAt

@@ -53,3 +53,37 @@ func BenchmarkEngineIdleHeavy(b *testing.B) {
 		b.Fatalf("engines disagree on IPC: cycle %v event %v", ipc["cycle"], ipc["event"])
 	}
 }
+
+// BenchmarkSystemMemBound times the production loop on the memory-bound
+// extreme of the performance figures: four mcf copies at reduced
+// budgets. It reports host nanoseconds per simulated instruction and the
+// fraction of core-cycles the loop charged without calling Core.Cycle
+// (per-core sleep plus skipped spans).
+//
+//	go test -run '^$' -bench SystemMemBound ./internal/sim
+func BenchmarkSystemMemBound(b *testing.B) {
+	p, err := workload.ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var instr, coreCycles, slept int64
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig()
+		cfg.Workload = p
+		cfg.WarmupInstr = 50_000
+		cfg.InstrPerCore = 100_000
+		sys := NewSystem(cfg)
+		if _, err := sys.Run(); err != nil {
+			b.Fatal(err)
+		}
+		for k, c := range sys.cores {
+			instr += c.Retired
+			// Core k cycles from its staggered start (cycle 1 at the
+			// earliest) through the last cycle, sys.now-1.
+			coreCycles += sys.now - max(int64(k)*997, 1)
+		}
+		slept += sys.slept
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
+	b.ReportMetric(float64(slept)/float64(coreCycles), "slept_frac")
+}

@@ -163,52 +163,6 @@ func TestRestoreLateCapture(t *testing.T) {
 	assertRunsIdentical(t, "late", ref, res, refSnap, snap)
 }
 
-// TestCheckpointEveryResume runs under a periodic checkpoint cadence,
-// then resumes from the latest checkpoint — the worker-preemption path.
-// The event engine must land on every grid point exactly (never skip one),
-// and resuming from the last checkpoint must reproduce the uninterrupted
-// run.
-func TestCheckpointEveryResume(t *testing.T) {
-	t.Parallel()
-	cfg := restoreConfig(t, SafeGuard, "trr")
-	ref, refSnap := runEngine(t, cfg, "event")
-
-	const every = 7_000
-	run := withEngine(t, cfg, "event")
-	run.Telemetry = telemetry.NewRegistry()
-	run.CheckpointEvery = every
-	var cycles []int64
-	var last []byte
-	run.SnapshotFn = func(b []byte) error {
-		h, err := snapshot.Peek(b)
-		if err != nil {
-			return err
-		}
-		var cyc int64
-		for _, r := range h.Meta["cycle"] {
-			cyc = cyc*10 + int64(r-'0')
-		}
-		cycles = append(cycles, cyc)
-		last = append([]byte(nil), b...)
-		return nil
-	}
-	full, err := NewSystem(run).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, "checkpointed-run", ref, full, refSnap, run.Telemetry.Snapshot())
-	if len(cycles) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-	for i, c := range cycles {
-		if want := int64(every) * int64(i+1); c != want {
-			t.Fatalf("checkpoint %d captured at cycle %d, want %d (grid point skipped)", i, c, want)
-		}
-	}
-	res, snap := resume(t, cfg, "event", last)
-	assertRunsIdentical(t, "resume-from-last", ref, res, refSnap, snap)
-}
-
 // TestSnapshotWarmCapture: the warm-start pool's capture point fires at
 // the end of the first cycle where every core has crossed warm-up, and
 // resuming from it reproduces the uninterrupted run.

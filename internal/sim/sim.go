@@ -185,12 +185,8 @@ type Config struct {
 	// which every core has crossed its warm-up budget — the warm-start
 	// pool's capture point.
 	SnapshotWarm bool
-	// CheckpointEvery, when positive, captures a snapshot every that many
-	// cycles (periodic checkpointing for preemptible workers).
-	CheckpointEvery int64
 	// SnapshotFn receives every captured snapshot; required when
-	// SnapshotAt, SnapshotWarm, or CheckpointEvery is set. A returned
-	// error aborts the run.
+	// SnapshotAt or SnapshotWarm is set. A returned error aborts the run.
 	SnapshotFn func(data []byte) error
 
 	// perCycle runs the reference loop: the same loop with skip-ahead
@@ -280,7 +276,7 @@ type System struct {
 	mc    *memctrl.Controller
 
 	// mshr tracks in-flight line fills: line -> fill state.
-	mshr map[uint64]*mshrEntry
+	mshr mshrTable
 	// macInflight merges concurrent SGX-style MAC-line fetches; each
 	// waiter names the data line whose fill joins when the fetch lands.
 	macInflight map[uint64][]macWaiter
@@ -304,18 +300,25 @@ type System struct {
 	warmCycle []int64
 	doneCycle []int64
 	remaining int
-	// warmSnapped/nextCkpt sequence the SnapshotWarm and CheckpointEvery
-	// captures.
+	// warmSnapped marks the SnapshotWarm capture taken.
 	warmSnapped bool
-	nextCkpt    int64
 
 	// coreCPI are the per-core attribution stacks (nil when Attrib off);
 	// warmCPI snapshots each stack at its core's warm-up crossing.
 	coreCPI []*attrib.CPIStack
 	warmCPI []attrib.CPIStack
-	// skipProbes is the skip-ahead replay scratch: one frozen probe
-	// per started core during a skipped span (allocated once).
-	skipProbes []attrib.Probe
+	// sleepUntil/sleepProbe are per-core sleep: a core whose ROB is full
+	// after its Cycle records its SkipState and sleeps until its wake
+	// cycle — the loop charges sleepProbe (nil when Attrib is off) in
+	// place of calling Cycle, which would do nothing else. A sleepUntil
+	// at or below the current cycle means awake; finishFill's deliveries
+	// zero it. Derived state: never checkpointed; a restored system
+	// starts all awake.
+	sleepUntil []int64
+	sleepProbe []attrib.Probe
+	// slept counts the core-cycles charged without a Cycle call, asleep
+	// in the loop or inside a skipped span (BenchmarkSystemMemBound).
+	slept int64
 	// skipNextTry/skipBackoff throttle skip attempts: after a failed
 	// attempt the next one waits exponentially longer (capped), so
 	// saturated phases — where some core is active nearly every cycle —
@@ -431,16 +434,14 @@ func NewSystem(cfg Config) *System {
 		llc:         cache.New(cfg.LLCBytes, cfg.LLCWays),
 		pf:          cache.NewStreamPrefetcher(cfg.PrefetchDegree),
 		mc:          memctrl.New(g, dram.DDR4_3200()),
-		mshr:        make(map[uint64]*mshrEntry),
 		macInflight: make(map[uint64][]macWaiter),
 		lineMask:    g.TotalBytes()/64 - 1,
 		remaining:   cfg.Cores,
-		nextCkpt:    cfg.CheckpointEvery,
 	}
 	s.mc.FCFS = cfg.FCFSScheduler
 	s.mc.AttachTelemetry(cfg.Telemetry, cfg.Trace)
 	s.mc.SetCompletionSink(s)
-	if (cfg.SnapshotAt > 0 || cfg.SnapshotWarm || cfg.CheckpointEvery > 0) && cfg.SnapshotFn == nil {
+	if (cfg.SnapshotAt > 0 || cfg.SnapshotWarm) && cfg.SnapshotFn == nil {
 		s.initErr = errors.New("sim: snapshot capture requested without Config.SnapshotFn")
 	}
 	th := cfg.RHThreshold
@@ -459,6 +460,8 @@ func NewSystem(cfg Config) *System {
 	}
 	s.warmCycle = make([]int64, cfg.Cores)
 	s.doneCycle = make([]int64, cfg.Cores)
+	s.sleepUntil = make([]int64, cfg.Cores)
+	s.sleepProbe = make([]attrib.Probe, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		gen := workload.NewGenerator(cfg.Workload, i, cfg.Seed)
 		s.gens = append(s.gens, gen)
@@ -541,7 +544,7 @@ func (s *System) store(core int, line uint64) bool {
 		s.fillL1(core, line, true)
 		return true
 	}
-	if len(s.mshr) >= storeMissCap || s.pendingReads.len() > 0 {
+	if s.mshr.len() >= storeMissCap || s.pendingReads.len() > 0 {
 		return false
 	}
 	// Write-allocate: fetch the line (RFO); the store itself retires via
@@ -554,7 +557,7 @@ func (s *System) store(core int, line uint64) bool {
 // read through the scheme adapter. It returns the entry so load can hand
 // the entry's attribution probe to the core.
 func (s *System) demandMiss(core int, line uint64, dirtyFill bool, seq uint64, deliver bool) *mshrEntry {
-	if e, ok := s.mshr[line]; ok {
+	if e := s.mshr.get(line); e != nil {
 		e.waiters = append(e.waiters, waiter{core: core, seq: seq, deliver: deliver})
 		e.dirtyFill = e.dirtyFill || dirtyFill
 		return e
@@ -567,7 +570,7 @@ func (s *System) demandMiss(core int, line uint64, dirtyFill bool, seq uint64, d
 		// reads it off the entry to stamp completion phases.
 		e.track = &reqTrack{sys: s, line: line}
 	}
-	s.mshr[line] = e
+	s.mshr.put(line, e)
 	s.schemeRead(line, e)
 	return e
 }
@@ -585,13 +588,14 @@ func (s *System) newMSHR() *mshrEntry {
 // finishFill installs a fetched line and wakes its waiters, then recycles
 // the entry. Its track (a probe cores may still hold) is not recycled.
 func (s *System) finishFill(line uint64, cpuDone int64) {
-	e := s.mshr[line]
-	delete(s.mshr, line)
+	e := s.mshr.get(line)
+	s.mshr.del(line)
 	s.fillLLC(line, e.dirtyFill)
 	for _, w := range e.waiters {
 		s.fillL1(w.core, line, e.dirtyFill)
 		if w.deliver {
 			s.cores[w.core].Deliver(w.seq, cpuDone)
+			s.sleepUntil[w.core] = 0
 		}
 	}
 	*e = mshrEntry{waiters: e.waiters[:0]}
@@ -649,11 +653,11 @@ func (s *System) prefetchOn(trigger uint64) {
 		if s.llc.Contains(pl) {
 			continue
 		}
-		if _, ok := s.mshr[pl]; ok {
+		if s.mshr.get(pl) != nil {
 			continue
 		}
 		e := s.newMSHR()
-		s.mshr[pl] = e
+		s.mshr.put(pl, e)
 		s.schemeRead(pl, e)
 	}
 }
@@ -710,7 +714,7 @@ func (s *System) OnReadDone(token uint64, mcDone int64) {
 	line := token & (1<<tokKindShift - 1)
 	switch token >> tokKindShift {
 	case tokKindData:
-		e := s.mshr[line]
+		e := s.mshr.get(line)
 		if tr := e.track; tr != nil && (s.cfg.Scheme == SGXStyle || s.cfg.Scheme == SGXFullStyle) {
 			tr.dataDone = true // now waiting on the MAC leg
 		}
@@ -727,7 +731,7 @@ func (s *System) OnReadDone(token uint64, mcDone int64) {
 			if w.drop {
 				continue
 			}
-			s.joinLeg(w.line, s.mshr[w.line], done)
+			s.joinLeg(w.line, s.mshr.get(w.line), done)
 		}
 		s.macFree = append(s.macFree, ws[:0])
 	default:
@@ -891,14 +895,28 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		if s.now&1023 == 0 && ctx.Err() != nil {
 			return Result{}, ctx.Err()
 		}
-		s.retryDeferred()
+		if s.pendingReads.len() > 0 || s.pendingWrites.len() > 0 {
+			s.retryDeferred()
+		}
 		for i, c := range s.cores {
 			// Stagger core start-up so the rate copies desynchronize
 			// (absorbed entirely by the warm-up phase).
 			if s.now < int64(i)*997 {
 				continue
 			}
+			if s.now < s.sleepUntil[i] {
+				// Asleep: Cycle would only charge attribution. A sleeping
+				// core cannot retire, so its crossings need no check.
+				if p := s.sleepProbe[i]; p != nil {
+					s.coreCPI[i].Charge(p(s.now))
+				}
+				s.slept++
+				continue
+			}
 			c.Cycle(s.now)
+			if !s.cfg.perCycle && c.Full() {
+				s.sleep(i, c)
+			}
 			if s.warmCycle[i] == 0 && c.Retired >= s.cfg.WarmupInstr {
 				s.warmCycle[i] = s.now
 				if s.coreCPI != nil {
@@ -981,15 +999,10 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 }
 
 // maybeSnapshot fires the configured captures due at the end of cycle
-// s.now: the one-shot SnapshotAt, the periodic CheckpointEvery grid, and
-// the all-cores-warm point. At most one snapshot is encoded per cycle even
-// when several triggers coincide.
+// s.now: the one-shot SnapshotAt and the all-cores-warm point. At most
+// one snapshot is encoded per cycle even when both coincide.
 func (s *System) maybeSnapshot() error {
 	due := s.cfg.SnapshotAt > 0 && s.now == s.cfg.SnapshotAt
-	if s.cfg.CheckpointEvery > 0 && s.now == s.nextCkpt {
-		due = true
-		s.nextCkpt += s.cfg.CheckpointEvery
-	}
 	if s.cfg.SnapshotWarm && !s.warmSnapped {
 		allWarm := true
 		for _, w := range s.warmCycle {
@@ -1014,71 +1027,72 @@ func (s *System) maybeSnapshot() error {
 }
 
 // nextSnapshotAt returns the earliest cycle after s.now at which a
-// scheduled capture (SnapshotAt or the checkpoint grid) must execute; the
-// warm capture needs no bound because it can only trigger on a cycle that
-// retires instructions, which a skipped span never does.
+// scheduled capture (SnapshotAt) must execute; the warm capture needs no
+// bound because it can only trigger on a cycle that retires
+// instructions, which a skipped span never does.
 func (s *System) nextSnapshotAt() int64 {
-	next := int64(1) << 62
 	if s.cfg.SnapshotAt > s.now {
-		next = s.cfg.SnapshotAt
+		return s.cfg.SnapshotAt
 	}
-	if s.cfg.CheckpointEvery > 0 && s.nextCkpt > s.now && s.nextCkpt < next {
-		next = s.nextCkpt
+	return int64(1) << 62
+}
+
+// sleep records the SkipState of core i, whose ROB is full right after
+// its Cycle: the core sleeps until its wake cycle (or an earlier
+// delivery). Any other core is awake: its sleepUntil is at most the
+// current cycle, or it would not have cycled.
+func (s *System) sleep(i int, c *cpu.Core) {
+	if ok, wake, probe := c.SkipState(); ok {
+		s.sleepUntil[i], s.sleepProbe[i] = wake, probe
 	}
-	return next
 }
 
 // trySkip is the skip-ahead step, run at the end of a loop iteration.
-// When every started core is provably inert (ROB full: no retirement,
-// no dispatch, no store retries) and the controller's
+// When every started core is asleep (ROB full: no retirement, no
+// dispatch, no store retries) and the controller's
 // next event is in the future, it jumps s.now to one cycle before the
 // earliest thing that can happen — a core's own wake-up, a late core's
 // staggered start, the controller's next event (MC cycle M is processed
 // during CPU cycle 2M), a scheduled snapshot capture, or the MaxCycles
 // guard. Skipped cycles change no simulator state except attribution,
-// which is replayed per cycle from each core's frozen stall probe so
+// which is replayed per cycle from each core's sleep probe so
 // every CPIStack still sums exactly to its core's cycle count — the
 // exact-sum invariant holds under skips by construction. Reports whether
 // a skip happened, feeding the caller's attempt backoff; skipping is
 // always optional, so the backoff policy affects speed only, never
 // results.
 func (s *System) trySkip(ctx context.Context) bool {
-	// Cheapest rejection first: most iterations some core is active, so
-	// scan the cores before touching the controller's (pricier) wheel.
-	if s.coreCPI != nil && s.skipProbes == nil {
-		s.skipProbes = make([]attrib.Probe, len(s.cores))
-	}
+	// Cheapest rejection first: most iterations some core is awake, so
+	// fold the cores' wake cycles before touching the controller's
+	// (pricier) wheel. An awake core's sleepUntil is at most s.now, so
+	// it rejects at once.
 	target := s.cfg.MaxCycles + 1
 	started := len(s.cores)
-	for i, c := range s.cores {
-		if s.now < int64(i)*997 {
+	for i, wake := range s.sleepUntil {
+		if t := int64(i) * 997; s.now < t {
 			// Not yet started: it first cycles at i*997, and later cores
 			// start later still (the stagger is monotonic).
-			if t := int64(i) * 997; t < target {
+			if t < target {
 				target = t
 			}
 			started = i
 			break
 		}
-		ok, wake, probe := c.SkipState()
-		if !ok {
+		// The cores wake too soon for a skip to pay for the wheel probe
+		// and clock jump below: a span this short costs more to set up
+		// than the handful of cheap sleeping iterations it would save.
+		if wake <= s.now+8 {
 			return false
 		}
 		if wake < target {
 			target = wake
-		}
-		if s.skipProbes != nil {
-			s.skipProbes[i] = probe
 		}
 	}
 	// A scheduled capture cycle must execute in full, never be jumped.
 	if ns := s.nextSnapshotAt(); target > ns {
 		target = ns
 	}
-	// The cores wake too soon for a skip to pay for the wheel probe and
-	// clock jump below: a span this short costs more to set up than the
-	// handful of cheap ROB-full iterations it would save.
-	if target <= s.now+8 {
+	if target <= s.now+1 {
 		return false
 	}
 	// A deferred request that the controller could now accept means
@@ -1111,7 +1125,7 @@ func (s *System) trySkip(ctx context.Context) bool {
 		// windows expire), hence per-cycle evaluation.
 		for u := s.now + 1; u < target; u++ {
 			for i := 0; i < started; i++ {
-				s.coreCPI[i].Charge(s.skipProbes[i](u))
+				s.coreCPI[i].Charge(s.sleepProbe[i](u))
 			}
 		}
 	}
@@ -1120,6 +1134,7 @@ func (s *System) trySkip(ctx context.Context) bool {
 	// cycles, so it reads (target-1)/2. All jumped-over MC cycles are
 	// strictly before NextEventAt — no-op ticks by definition.
 	s.mc.AdvanceTo((target - 1) >> 1)
+	s.slept += int64(started) * (target - 1 - s.now)
 	s.now = target - 1
 	return true
 }

@@ -107,7 +107,6 @@ type State struct {
 	DoneCycle   []int64 `json:"done_cycle"`
 	Remaining   int     `json:"remaining"`
 	WarmSnapped bool    `json:"warm_snapped,omitempty"`
-	NextCkpt    int64   `json:"next_ckpt,omitempty"`
 
 	CoreCPI []attrib.CPIStack `json:"core_cpi,omitempty"`
 	WarmCPI []attrib.CPIStack `json:"warm_cpi,omitempty"`
@@ -125,7 +124,6 @@ func (s *System) SaveState() (*State, error) {
 		Seed:        s.cfg.Seed,
 		Remaining:   s.remaining,
 		WarmSnapped: s.warmSnapped,
-		NextCkpt:    s.nextCkpt,
 		WarmCycle:   append([]int64(nil), s.warmCycle...),
 		DoneCycle:   append([]int64(nil), s.doneCycle...),
 	}
@@ -142,13 +140,10 @@ func (s *System) SaveState() (*State, error) {
 		}
 		return id
 	}
-	lines := make([]uint64, 0, len(s.mshr))
-	for l := range s.mshr {
-		lines = append(lines, l)
-	}
+	lines := s.mshr.lines(make([]uint64, 0, s.mshr.len()))
 	slices.Sort(lines)
 	for _, l := range lines {
-		e := s.mshr[l]
+		e := s.mshr.get(l)
 		ms := MSHRState{Line: l, DirtyFill: e.dirtyFill, Remaining: e.remaining, Latest: e.latest, Track: -1}
 		for _, w := range e.waiters {
 			ms.Waiters = append(ms.Waiters, WaiterState{Core: w.core, Seq: w.seq, Deliver: w.deliver})
@@ -407,7 +402,10 @@ func (s *System) RestoreState(st *State) error {
 			return fmt.Errorf("sim: restore tracer: %w", err)
 		}
 	}
-	s.mshr = mshr
+	s.mshr = mshrTable{}
+	for l, e := range mshr {
+		s.mshr.put(l, e)
+	}
 	s.macInflight = macInflight
 	s.pendingReads = fifo[deferredRead]{buf: pendingReads}
 	s.pendingWrites = fifo[uint64]{buf: append([]uint64(nil), st.PendingWrites...)}
@@ -416,13 +414,10 @@ func (s *System) RestoreState(st *State) error {
 	copy(s.warmCycle, st.WarmCycle)
 	copy(s.doneCycle, st.DoneCycle)
 	s.warmSnapped = st.WarmSnapped
-	s.nextCkpt = st.NextCkpt
-	if s.cfg.CheckpointEvery > 0 && s.nextCkpt <= s.now {
-		// Resuming under a checkpoint cadence the capturing run did not
-		// have (or a coarser one): restart the grid from here.
-		s.nextCkpt = s.now + s.cfg.CheckpointEvery
-	}
 	s.skipNextTry, s.skipBackoff = 0, 0
+	// Sleep is derived from core state: every core starts awake, and its
+	// first Cycle after the restore records its SkipState afresh.
+	clear(s.sleepUntil)
 	return nil
 }
 

@@ -21,6 +21,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -122,11 +124,16 @@ func Names() []string {
 // copy. Each of the paper's four rate copies uses a distinct copy index so
 // its address space and random stream differ.
 type Generator struct {
-	p   Params
-	rng *rand.Rand
-	// src is the rng's underlying PCG, retained because rand.Rand hides
-	// its source and checkpointing needs MarshalBinary access.
+	p Params
+	// src is the generator's random stream. Draws call it directly,
+	// reproducing rand.Rand's Float64 and Uint64N draw for draw without
+	// the Source interface call: a Float64 compared against a fraction is
+	// its 53 random bits compared against the fraction's cut (below), and
+	// uint64n is Uint64N.
 	src *rand.PCG
+	// The class cuts of Next and load, one per fraction (or running sum
+	// of fractions) they compare a draw against.
+	loadCut, storeCut, streamCut, chaseCut, coldCut uint64
 	// base places this copy's footprint in physical memory.
 	base uint64
 	// streamPos / storePos walk the sequential regions in 8-byte words.
@@ -152,23 +159,68 @@ const (
 func NewGenerator(p Params, copyIdx int, seed uint64) *Generator {
 	src := rand.NewPCG(seed, uint64(copyIdx)*0x9E3779B97F4A7C15+uint64(copyIdx)+1)
 	g := &Generator{
-		p:    p,
-		rng:  rand.New(src),
-		src:  src,
-		base: uint64(copyIdx) * copyStride,
+		p:         p,
+		src:       src,
+		loadCut:   cut(p.LoadFrac),
+		storeCut:  cut(p.LoadFrac + p.StoreFrac),
+		streamCut: cut(p.StreamFrac),
+		chaseCut:  cut(p.StreamFrac + p.ChaseFrac),
+		coldCut:   cut(p.StreamFrac + p.ChaseFrac + p.ColdFrac),
+		base:      uint64(copyIdx) * copyStride,
 	}
-	g.streamPos = g.rng.Uint64N(p.StreamWS * (lineBytes / wordBytes))
-	g.storePos = g.rng.Uint64N(p.StoreWS * (lineBytes / wordBytes))
+	g.streamPos = g.uint64n(p.StreamWS * (lineBytes / wordBytes))
+	g.storePos = g.uint64n(p.StoreWS * (lineBytes / wordBytes))
 	return g
+}
+
+// bits53 draws what rand.Rand.Float64 scales into [0, 1): the low 53
+// bits of one PCG output.
+func (g *Generator) bits53() uint64 {
+	return g.src.Uint64() & (1<<53 - 1)
+}
+
+// cut converts the test r < f on a Float64 draw r = x/2^53 into the
+// integer test x < cut(f). Scaling by 2^53 is exact, and for an integer
+// x, x < F holds exactly when x < ceil(F); the cut saturates at 2^53
+// (every draw passes) and at 0 (none does, NaN included).
+func cut(f float64) uint64 {
+	t := math.Ceil(f * (1 << 53))
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= 1<<53:
+		return 1 << 53
+	}
+	return uint64(t)
+}
+
+// uint64n is rand.Rand.Uint64N on the generator's PCG (64-bit path): a
+// mask for powers of two, otherwise Lemire's multiply with rejection,
+// which consumes exactly the draws rand.Rand does.
+func (g *Generator) uint64n(n uint64) uint64 {
+	if n == 0 {
+		panic("workload: uint64n(0)")
+	}
+	if n&(n-1) == 0 {
+		return g.src.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(g.src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(g.src.Uint64(), n)
+		}
+	}
+	return hi
 }
 
 // Next returns the next instruction.
 func (g *Generator) Next() Instr {
-	r := g.rng.Float64()
+	x := g.bits53()
 	switch {
-	case r < g.p.LoadFrac:
+	case x < g.loadCut:
 		return g.load()
-	case r < g.p.LoadFrac+g.p.StoreFrac:
+	case x < g.storeCut:
 		return Instr{IsStore: true, Addr: g.store()}
 	default:
 		return Instr{}
@@ -176,28 +228,28 @@ func (g *Generator) Next() Instr {
 }
 
 func (g *Generator) load() Instr {
-	r := g.rng.Float64()
+	x := g.bits53()
 	switch {
-	case r < g.p.StreamFrac:
+	case x < g.streamCut:
 		// Sequential 8-byte walk: a new cache line every 8 loads. An
 		// occasional skip models loop boundaries and keeps concurrent
 		// copies' streams from staying phase-locked in the DRAM banks.
 		g.streamPos++
-		if g.rng.Uint64N(128) == 0 {
-			g.streamPos += 8 * (1 + g.rng.Uint64N(4))
+		if g.uint64n(128) == 0 {
+			g.streamPos += 8 * (1 + g.uint64n(4))
 		}
 		if g.streamPos >= g.p.StreamWS*(lineBytes/wordBytes) {
 			g.streamPos = 0
 		}
 		return Instr{IsLoad: true, Addr: g.base + g.streamPos*wordBytes}
-	case r < g.p.StreamFrac+g.p.ChaseFrac:
-		addr := g.base + coldOffset + g.rng.Uint64N(g.p.ColdWS)*lineBytes
+	case x < g.chaseCut:
+		addr := g.base + coldOffset + g.uint64n(g.p.ColdWS)*lineBytes
 		return Instr{IsLoad: true, Addr: addr, DependsOnLoad: true}
-	case r < g.p.StreamFrac+g.p.ChaseFrac+g.p.ColdFrac:
-		addr := g.base + coldOffset + g.rng.Uint64N(g.p.ColdWS)*lineBytes
+	case x < g.coldCut:
+		addr := g.base + coldOffset + g.uint64n(g.p.ColdWS)*lineBytes
 		return Instr{IsLoad: true, Addr: addr}
 	default:
-		addr := g.base + hotOffset + g.rng.Uint64N(g.p.HotWS*(lineBytes/wordBytes))*wordBytes
+		addr := g.base + hotOffset + g.uint64n(g.p.HotWS*(lineBytes/wordBytes))*wordBytes
 		return Instr{IsLoad: true, Addr: addr}
 	}
 }
